@@ -30,7 +30,9 @@
 // allocations and <=5% overhead over plain streaming. A streaming_monitor
 // row does the same for the fleet health monitor (cell fold + top-K
 // offender tracking; docs/monitoring.md) under a quiet spec, with the
-// same two hard exits (monitor_overhead_frac).
+// same two hard exits (monitor_overhead_frac). The single-thread modes'
+// timed passes run interleaved, one window of sessions at a time, so the
+// ratios the gates check compare modes timed under the same host load.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -38,6 +40,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <new>
 #include <span>
 #include <string>
@@ -350,23 +353,20 @@ int main(int argc, char** argv) {
     g_counting.store(false);
   }
 
-  auto time_direct = [&](const char* mode, auto&& body) {
-    double best = 1e100;
+  // The timed single-thread modes. Each mode registers its session loop
+  // here, after its own warmup and allocation checks; the timed passes run
+  // interleaved further below.
+  struct TimedMode {
+    const char* mode;
+    std::function<void(std::size_t, std::size_t)> run;  // sessions [lo, hi)
+    double seconds = 0.0;
     long long allocs = 0;
-    for (std::size_t p = 0; p < passes; ++p) {
-      g_allocs.store(0);
-      g_counting.store(true);
-      const auto start = std::chrono::steady_clock::now();
-      for (std::size_t i = 0; i < setup.sessions; ++i) body(i);
-      const double s = seconds_since(start);
-      g_counting.store(false);
-      allocs = g_allocs.load();
-      best = std::min(best, s);
-    }
-    rows.push_back({mode, 1, best,
-                    static_cast<double>(setup.sessions) / best,
-                    static_cast<double>(allocs) /
-                        static_cast<double>(setup.sessions)});
+  };
+  std::vector<TimedMode> timed;
+  auto time_direct = [&](const char* mode, auto body) {
+    timed.push_back({mode, [body](std::size_t lo, std::size_t hi) mutable {
+                       for (std::size_t i = lo; i < hi; ++i) body(i);
+                     }});
   };
   time_direct("recorded", [&](std::size_t i) {
     run_recorded(setup, i, &recorded[i]);
@@ -431,61 +431,53 @@ int main(int argc, char** argv) {
   }
 
   // --- Observability-enabled streaming at 1 thread: the overhead budget. -
-  {
-    obs::Observability obs_handle;
-    obs_handle.metrics = std::make_unique<obs::MetricsRegistry>(1);
-    obs::TraceCollector collector(obs::TraceConfig{});  // sample=64, no file
-    obs::SessionTraceSink trace_sink;
-    std::string lines;
-    std::vector<sim::SessionMetrics> obs_streamed(setup.sessions);
+  // Metrics are bound and the collector installed only while this mode
+  // runs, so the other modes' passes see observability off.
+  obs::Observability obs_handle;
+  obs_handle.metrics = std::make_unique<obs::MetricsRegistry>(1);
+  obs::TraceCollector obs_collector(obs::TraceConfig{});  // sample=64, no file
+  obs::SessionTraceSink obs_trace_sink;
+  std::string obs_lines;
+  std::vector<sim::SessionMetrics> obs_streamed(setup.sessions);
+  auto run_obs = [&](std::size_t lo, std::size_t hi) {
     obs::install(&obs_handle);
     {
       obs::SlotBinding bind(obs_handle.metrics.get(), 0);
-      for (std::size_t i = 0; i < setup.sessions; ++i) {  // warmup
-        run_streaming_obs(setup, i, scratch, collector, trace_sink, lines,
-                          &obs_streamed[i]);
+      for (std::size_t i = lo; i < hi; ++i) {
+        run_streaming_obs(setup, i, scratch, obs_collector, obs_trace_sink,
+                          obs_lines, &obs_streamed[i]);
       }
-      time_direct("streaming_obs", [&](std::size_t i) {
-        run_streaming_obs(setup, i, scratch, collector, trace_sink, lines,
-                          &obs_streamed[i]);
-      });
     }
     obs::install(nullptr);
-    for (std::size_t i = 0; i < setup.sessions; ++i) {
-      identical = identical && metrics_identical(streamed[i], obs_streamed[i]);
-    }
-  }
+  };
+  run_obs(0, setup.sessions);  // warmup
+  timed.push_back({"streaming_obs", run_obs});
 
   // --- Timeline-enabled streaming at 1 thread: fleet telemetry budget. --
   // The aggregator is pre-sized by begin_run, so the per-session record()
   // (cell adds + three sketch inserts) must allocate exactly nothing and
   // cost <=5% over plain streaming -- both hard exits below.
   long long max_timeline_allocs = 0;
+  obs::TimelineAggregator timeline;
+  timeline.begin_run(setup.seed, {"bba2"}, 1, exp::kWindowsPerDay);
+  std::vector<sim::SessionMetrics> tl_streamed(setup.sessions);
+  auto run_timeline = [&](std::size_t i) {
+    run_streaming(setup, i, scratch, &tl_streamed[i]);
+    const exp::SessionKey key = key_of(setup, i);
+    timeline.record(key.day, key.window, 0, tl_streamed[i]);
+  };
+  for (std::size_t i = 0; i < setup.sessions; ++i) run_timeline(i);  // warmup
   {
-    obs::TimelineAggregator timeline;
-    timeline.begin_run(setup.seed, {"bba2"}, 1, exp::kWindowsPerDay);
-    std::vector<sim::SessionMetrics> tl_streamed(setup.sessions);
-    auto run_one = [&](std::size_t i) {
-      run_streaming(setup, i, scratch, &tl_streamed[i]);
-      const exp::SessionKey key = key_of(setup, i);
-      timeline.record(key.day, key.window, 0, tl_streamed[i]);
-    };
-    for (std::size_t i = 0; i < setup.sessions; ++i) run_one(i);  // warmup
-    {
-      g_counting.store(true);
-      for (std::size_t i = 0; i < setup.sessions; ++i) {
-        const long long before = g_allocs.load();
-        run_one(i);
-        max_timeline_allocs =
-            std::max(max_timeline_allocs, g_allocs.load() - before);
-      }
-      g_counting.store(false);
-    }
-    time_direct("streaming_timeline", run_one);
+    g_counting.store(true);
     for (std::size_t i = 0; i < setup.sessions; ++i) {
-      identical = identical && metrics_identical(streamed[i], tl_streamed[i]);
+      const long long before = g_allocs.load();
+      run_timeline(i);
+      max_timeline_allocs =
+          std::max(max_timeline_allocs, g_allocs.load() - before);
     }
+    g_counting.store(false);
   }
+  time_direct("streaming_timeline", run_timeline);
 
   // --- Health-monitor streaming at 1 thread: the alerting budget. -------
   // The per-session monitor cost is the cell fold plus top-K offender
@@ -496,54 +488,42 @@ int main(int argc, char** argv) {
   // must allocate exactly nothing and cost <=5% over plain streaming,
   // both hard exits.
   long long max_monitor_allocs = 0;
-  {
-    obs::MonitorSpec quiet;
-    std::string spec_err;
-    if (!obs::MonitorSpec::parse(
-            "ewma_k=1000000,cusum_h=1000000,slo_rebuffer_ratio=1000000,"
-            "slo_join_s=1000000",
-            &quiet, &spec_err)) {
-      std::fprintf(stderr, "bad monitor bench spec: %s\n", spec_err.c_str());
-      return 1;
-    }
-    obs::HealthMonitor monitor(quiet);
-    // A configured monitor only folds forward, so each pass over the
-    // workload plays as its own synthetic day; pre-declaring the full day
-    // span keeps the cell grid growth out of the measured loop.
-    const std::size_t monitor_days = passes + 8;
-    monitor.begin_run(setup.seed, {"bba2"}, monitor_days,
-                      exp::kWindowsPerDay);
-    std::size_t monitor_day = 0, next_day = 0;
-    std::vector<sim::SessionMetrics> mon_streamed(setup.sessions);
-    auto run_one = [&](std::size_t i) {
-      if (i == 0) monitor_day = next_day++;
-      run_streaming(setup, i, scratch, &mon_streamed[i]);
-      const exp::SessionKey key = key_of(setup, i);
-      monitor.record(monitor_day, key.window, 0, key.session,
-                     mon_streamed[i]);
-    };
-    for (std::size_t i = 0; i < setup.sessions; ++i) run_one(i);  // warmup
-    {
-      g_counting.store(true);
-      for (std::size_t i = 0; i < setup.sessions; ++i) {
-        const long long before = g_allocs.load();
-        run_one(i);
-        max_monitor_allocs =
-            std::max(max_monitor_allocs, g_allocs.load() - before);
-      }
-      g_counting.store(false);
-    }
-    time_direct("streaming_monitor", run_one);
-    for (std::size_t i = 0; i < setup.sessions; ++i) {
-      identical = identical && metrics_identical(streamed[i], mon_streamed[i]);
-    }
-    if (monitor.alerts_fired() != 0) {
-      std::fprintf(stderr,
-                   "FAIL: quiet monitor bench spec fired %llu alerts\n",
-                   static_cast<unsigned long long>(monitor.alerts_fired()));
-      identical = false;  // surfaces through the shared exit path
-    }
+  obs::MonitorSpec quiet;
+  std::string spec_err;
+  if (!obs::MonitorSpec::parse(
+          "ewma_k=1000000,cusum_h=1000000,slo_rebuffer_ratio=1000000,"
+          "slo_join_s=1000000",
+          &quiet, &spec_err)) {
+    std::fprintf(stderr, "bad monitor bench spec: %s\n", spec_err.c_str());
+    return 1;
   }
+  obs::HealthMonitor monitor(quiet);
+  // A configured monitor only folds forward, so each pass over the
+  // workload plays as its own synthetic day; pre-declaring the full day
+  // span keeps the cell grid growth out of the measured loop. Every timed
+  // pass also replays each window once untimed, hence two days per pass.
+  const std::size_t monitor_days = 2 * passes + 8;
+  monitor.begin_run(setup.seed, {"bba2"}, monitor_days, exp::kWindowsPerDay);
+  std::size_t monitor_day = 0, next_day = 0;
+  std::vector<sim::SessionMetrics> mon_streamed(setup.sessions);
+  auto run_monitor = [&](std::size_t i) {
+    if (i == 0) monitor_day = next_day++;
+    run_streaming(setup, i, scratch, &mon_streamed[i]);
+    const exp::SessionKey key = key_of(setup, i);
+    monitor.record(monitor_day, key.window, 0, key.session, mon_streamed[i]);
+  };
+  for (std::size_t i = 0; i < setup.sessions; ++i) run_monitor(i);  // warmup
+  {
+    g_counting.store(true);
+    for (std::size_t i = 0; i < setup.sessions; ++i) {
+      const long long before = g_allocs.load();
+      run_monitor(i);
+      max_monitor_allocs =
+          std::max(max_monitor_allocs, g_allocs.load() - before);
+    }
+    g_counting.store(false);
+  }
+  time_direct("streaming_monitor", run_monitor);
 
   // --- Full-population capture: every session serialized (sample=1), ----
   // jsonl vs btrace through the same polymorphic collector/sink pair the
@@ -552,42 +532,111 @@ int main(int argc, char** argv) {
   // a hard exit below: bytes are a pure function of the encoder, immune to
   // CI timing noise.
   double full_bytes_per_session[2] = {0.0, 0.0};
-  double full_sps[2] = {0.0, 0.0};
-  {
-    obs::Observability obs_handle;
-    obs_handle.metrics = std::make_unique<obs::MetricsRegistry>(1);
-    obs::install(&obs_handle);
-    obs::SlotBinding bind(obs_handle.metrics.get(), 0);
-    obs::TraceConfig full_cfg;
-    full_cfg.sample = 1;
-    std::vector<sim::SessionMetrics> full_streamed(setup.sessions);
-    const char* modes[2] = {"jsonl_full_trace", "btrace_full_trace"};
-    for (int fmt = 0; fmt < 2; ++fmt) {
-      std::unique_ptr<obs::TraceCollector> collector =
-          fmt == 0 ? std::make_unique<obs::TraceCollector>(full_cfg)
-                   : std::make_unique<obs::BinaryTraceCollector>(full_cfg);
-      std::unique_ptr<obs::SessionTraceSink> trace_sink =
-          collector->make_sink();
-      std::string lines;
-      const std::uint64_t before = collector->bytes_written();
-      for (std::size_t i = 0; i < setup.sessions; ++i) {  // warmup + bytes
-        run_streaming_obs(setup, i, scratch, *collector, *trace_sink, lines,
-                          &full_streamed[i]);
-      }
-      full_bytes_per_session[fmt] =
-          static_cast<double>(collector->bytes_written() - before) /
-          static_cast<double>(setup.sessions);
-      time_direct(modes[fmt], [&](std::size_t i) {
-        run_streaming_obs(setup, i, scratch, *collector, *trace_sink, lines,
-                          &full_streamed[i]);
-      });
-      full_sps[fmt] = rows.back().sessions_per_sec;
-      for (std::size_t i = 0; i < setup.sessions; ++i) {
-        identical =
-            identical && metrics_identical(streamed[i], full_streamed[i]);
+  obs::Observability full_handle;
+  full_handle.metrics = std::make_unique<obs::MetricsRegistry>(1);
+  obs::TraceConfig full_cfg;
+  full_cfg.sample = 1;
+  std::unique_ptr<obs::TraceCollector> full_collectors[2] = {
+      std::make_unique<obs::TraceCollector>(full_cfg),
+      std::make_unique<obs::BinaryTraceCollector>(full_cfg)};
+  std::unique_ptr<obs::SessionTraceSink> full_sinks[2] = {
+      full_collectors[0]->make_sink(), full_collectors[1]->make_sink()};
+  std::string full_lines[2];
+  std::vector<sim::SessionMetrics> full_streamed[2] = {
+      std::vector<sim::SessionMetrics>(setup.sessions),
+      std::vector<sim::SessionMetrics>(setup.sessions)};
+  auto run_full = [&](int fmt, std::size_t lo, std::size_t hi) {
+    obs::install(&full_handle);
+    {
+      obs::SlotBinding bind(full_handle.metrics.get(), 0);
+      for (std::size_t i = lo; i < hi; ++i) {
+        run_streaming_obs(setup, i, scratch, *full_collectors[fmt],
+                          *full_sinks[fmt], full_lines[fmt],
+                          &full_streamed[fmt][i]);
       }
     }
     obs::install(nullptr);
+  };
+  const char* full_modes[2] = {"jsonl_full_trace", "btrace_full_trace"};
+  for (int fmt = 0; fmt < 2; ++fmt) {
+    // Warmup, and the bytes one pass writes.
+    const std::uint64_t before = full_collectors[fmt]->bytes_written();
+    run_full(fmt, 0, setup.sessions);
+    full_bytes_per_session[fmt] =
+        static_cast<double>(full_collectors[fmt]->bytes_written() - before) /
+        static_cast<double>(setup.sessions);
+    timed.push_back({full_modes[fmt],
+                     [&run_full, fmt](std::size_t lo, std::size_t hi) {
+                       run_full(fmt, lo, hi);
+                     }});
+  }
+
+  // --- The interleaved timed passes. -------------------------------------
+  // The gates compare modes with each other, and the host's speed drifts:
+  // other tenants' bursts last about as long as one mode's whole pass. So
+  // the modes take turns one window of sessions at a time: pass p of every
+  // mode runs before pass p + 1 of any, and within a pass every mode runs
+  // window w before any runs window w + 1, each in its own session order.
+  // A turn first replays its window untimed, so that the mode's working
+  // set (the kernel's decision tables, the scalar path's scratch) is back
+  // in cache after the other modes' turns, and then times it. Each mode
+  // keeps its best time per window over the passes; its row is their sum.
+  // Windows are rounded up to whole kernel lane batches so the batched
+  // mode's blocks never straddle two turns. The replays add days to the
+  // monitor's synthetic calendar, which monitor_days above covers.
+  const std::size_t window =
+      (setup.sessions_per_window + kLaneBatch - 1) / kLaneBatch * kLaneBatch;
+  const std::size_t n_windows = (setup.sessions + window - 1) / window;
+  std::vector<double> best_turn(timed.size() * n_windows, 1e100);
+  for (std::size_t p = 0; p < passes; ++p) {
+    for (TimedMode& t : timed) t.allocs = 0;
+    for (std::size_t w = 0; w < n_windows; ++w) {
+      const std::size_t lo = w * window;
+      const std::size_t hi = std::min(lo + window, setup.sessions);
+      for (std::size_t m = 0; m < timed.size(); ++m) {
+        timed[m].run(lo, hi);  // untimed replay: warms this mode's caches
+        const long long allocs_before = g_allocs.load();
+        g_counting.store(true);
+        const auto start = std::chrono::steady_clock::now();
+        timed[m].run(lo, hi);
+        const double s = seconds_since(start);
+        g_counting.store(false);
+        timed[m].allocs += g_allocs.load() - allocs_before;
+        double& best = best_turn[m * n_windows + w];
+        best = std::min(best, s);
+      }
+    }
+  }
+  for (std::size_t m = 0; m < timed.size(); ++m) {
+    for (std::size_t w = 0; w < n_windows; ++w) {
+      timed[m].seconds += best_turn[m * n_windows + w];
+    }
+  }
+  double full_sps[2] = {0.0, 0.0};
+  for (const TimedMode& t : timed) {
+    rows.push_back({t.mode, 1, t.seconds,
+                    static_cast<double>(setup.sessions) / t.seconds,
+                    static_cast<double>(t.allocs) /
+                        static_cast<double>(setup.sessions)});
+    for (int fmt = 0; fmt < 2; ++fmt) {
+      if (std::string(t.mode) == full_modes[fmt]) {
+        full_sps[fmt] = rows.back().sessions_per_sec;
+      }
+    }
+  }
+
+  for (std::size_t i = 0; i < setup.sessions; ++i) {
+    identical = identical && metrics_identical(streamed[i], obs_streamed[i]) &&
+                metrics_identical(streamed[i], tl_streamed[i]) &&
+                metrics_identical(streamed[i], mon_streamed[i]) &&
+                metrics_identical(streamed[i], full_streamed[0][i]) &&
+                metrics_identical(streamed[i], full_streamed[1][i]);
+  }
+  if (monitor.alerts_fired() != 0) {
+    std::fprintf(stderr,
+                 "FAIL: quiet monitor bench spec fired %llu alerts\n",
+                 static_cast<unsigned long long>(monitor.alerts_fired()));
+    identical = false;  // surfaces through the shared exit path
   }
 
   // --- Executor passes at N threads (the harness configuration). --------

@@ -92,8 +92,9 @@ struct AbTestConfig {
   /// group) and skip trace materialization entirely. Bit-identical to the
   /// scalar path -- metrics, obs registry, and trace-file bytes -- at every
   /// thread count; the flag exists so benchmarks and CI can diff the two
-  /// paths (tools/abtest_cli --no-batch). Fault-injection runs and lanes
-  /// the kernel cannot express fall back to the scalar player either way.
+  /// paths (tools/abtest_cli --no-batch). Faulted sessions run through the
+  /// kernel on their materialized trace; lanes the kernel cannot express
+  /// fall back to the scalar player either way.
   bool batch_sessions = true;
 };
 

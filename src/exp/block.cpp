@@ -14,6 +14,7 @@
 #include "runtime/session_executor.hpp"
 #include "sim/batch_player.hpp"
 #include "sim/player.hpp"
+#include "sim/session_loop.hpp"
 #include "sim/session_sink.hpp"
 #include "util/assert.hpp"
 
@@ -122,16 +123,15 @@ void SessionBlockRunner::Impl::run(std::span<const SessionKey> keys,
             tracer != nullptr &&
             tracer->sampled(key.seed, key.day, key.window, key.session);
 
-        // Fault injection rides the dedicated kFaults substream: with an
-        // empty plan this is a no-op and nothing downstream changes byte
-        // for byte. Faulted runs stay on the scalar path (stall/fault
-        // attribution is outside the kernel's contract).
-        const bool faulted = population.has_faults();
-        if (cfg.batch_sessions && !faulted) {
+        if (cfg.batch_sessions) {
           run_batched_key(task, slot, key, env, video, player, traced);
           return;
         }
 
+        // Fault injection rides the dedicated kFaults substream: with an
+        // empty plan this is a no-op and nothing downstream changes byte
+        // for byte.
+        const bool faulted = population.has_faults();
         population.trace_for_into(env, key, s.trace_scratch, s.trace);
         if (faulted) {
           population.inject_faults(key, s.fault_scratch, s.trace);
@@ -160,7 +160,8 @@ void SessionBlockRunner::Impl::run(std::span<const SessionKey> keys,
           bool need_tee = traced;
           bool replay = false;
           if (tracer != nullptr && !need_tee) {
-            sim::simulate_session(video, s.trace, *algorithm, player, s.sink);
+            sim::simulate_session_into(video, s.trace, *algorithm, player,
+                                       s.sink);
             const sim::SessionMetrics& m = s.sink.metrics();
             const obs::TraceConfig& tc = tracer->config();
             need_tee = tc.anomalies_enabled() &&
@@ -189,7 +190,8 @@ void SessionBlockRunner::Impl::run(std::span<const SessionKey> keys,
               if (s.trace_sink->anomalous()) ++kt.anomalies;
             }
           } else if (tracer == nullptr) {
-            sim::simulate_session(video, s.trace, *algorithm, player, s.sink);
+            sim::simulate_session_into(video, s.trace, *algorithm, player,
+                                       s.sink);
           }
           metrics[task * n_groups + g] = s.sink.metrics();
         }
@@ -305,17 +307,23 @@ void SessionBlockRunner::Impl::run_batched_key(
   }
 
   // Outage sessions need the materialized trace (outages are drawn after
-  // the full Markov walk, so a lazy stream cannot know them); scalar
-  // fallbacks need it too. Everything else streams the kTrace substream
-  // lazily -- generated once, shared by every group's lane.
-  const bool materialize = env.has_outages || any_ineligible;
+  // the full Markov walk, so a lazy stream cannot know them); faulted
+  // sessions and scalar fallbacks need it too. Faults are injected once per
+  // key, on the kFaults substream, before any lane runs; every lane then
+  // attributes its stalls against the same events. Everything else streams
+  // the kTrace substream lazily -- generated once, shared by every group's
+  // lane.
+  const bool faulted = population.has_faults();
+  const bool materialize = env.has_outages || any_ineligible || faulted;
   if (materialize) {
     population.trace_for_into(env, key, s.trace_scratch, s.trace);
+    if (faulted) population.inject_faults(key, s.fault_scratch, s.trace);
   }
   for (std::size_t g = 0; g < n_groups; ++g) {
     sim::BatchLane& lane = s.lanes[g];
     if (materialize) {
       lane.trace = &s.trace;
+      if (faulted) lane.config.faults = &s.fault_scratch.events;
     } else {
       lane.stream = &env.trace;
       lane.stream_rng = session_rng(key, StreamClass::kTrace);
@@ -350,8 +358,13 @@ void SessionBlockRunner::Impl::run_batched_key(
     if (s.trace_sink == nullptr) s.trace_sink = tracer->make_sink();
     s.trace_sink->begin(tracer->config(), key.seed, key.day, key.window,
                         key.session, groups[g].name, traced);
+    if (faulted) {
+      s.trace_sink->set_faults(&s.fault_scratch.events,
+                               s.trace.cycle_duration_s(), s.trace.loops());
+    }
     sim::TeeSink tee(s.sink, *s.trace_sink);
-    sim::simulate_session(video, s.trace, *algorithm, player, tee);
+    sim::simulate_session(video, s.trace, *algorithm, s.lanes[g].config,
+                          tee);
     KeyTrace& kt = key_trace[task];
     if (s.trace_sink->finish(&kt.lines)) {
       ++kt.emitted;

@@ -7,6 +7,8 @@
 #include <cstddef>
 #include <vector>
 
+#include "util/assert.hpp"
+
 namespace bba::media {
 
 /// Sizes (bits) of every chunk at every ladder rate, plus the shared chunk
@@ -33,8 +35,13 @@ class ChunkTable {
   double chunk_duration_s() const { return chunk_duration_s_; }
   double video_duration_s() const;
 
-  /// Size in bits of chunk `k` at ladder index `rate`.
-  double size_bits(std::size_t rate, std::size_t k) const;
+  /// Size in bits of chunk `k` at ladder index `rate`. Defined here so the
+  /// player loop inlines it (one call per chunk).
+  double size_bits(std::size_t rate, std::size_t k) const {
+    BBA_ASSERT(rate < num_rates(), "rate index out of range");
+    BBA_ASSERT(k < num_chunks(), "chunk index out of range");
+    return sizes_bits_[rate][k];
+  }
 
   /// Mean chunk size (bits) at a ladder index. For a stream of nominal rate
   /// R this is ~= V * R ("Chunk_min/Chunk_max represent the average chunk

@@ -9,6 +9,8 @@
 #include <cstddef>
 #include <vector>
 
+#include "util/assert.hpp"
+
 namespace bba::media {
 
 /// Sorted set of nominal video rates (bits/s).
@@ -28,7 +30,10 @@ class EncodingLadder {
   static EncodingLadder netflix_2013_rmin560();
 
   std::size_t size() const { return rates_bps_.size(); }
-  double rate_bps(std::size_t i) const;
+  double rate_bps(std::size_t i) const {
+    BBA_ASSERT(i < rates_bps_.size(), "rate index out of range");
+    return rates_bps_[i];
+  }
   double rmin_bps() const { return rates_bps_.front(); }
   double rmax_bps() const { return rates_bps_.back(); }
   std::size_t min_index() const { return 0; }

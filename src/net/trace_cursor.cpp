@@ -2,32 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "util/assert.hpp"
 
 namespace bba::net {
-
-namespace {
-constexpr double kInf = std::numeric_limits<double>::infinity();
-}
-
-std::size_t TraceCursor::seek(double pos) {
-  ++queries_;
-  const std::vector<double>& tp = trace_->time_prefix();
-  const std::size_t last = trace_->segments().size() - 1;
-  std::size_t i = hint_;
-  if (i > last || tp[i] > pos) {
-    // Rewind (or a hint stale after trace mutation in debug builds): the
-    // trace's binary search finds the identical index.
-    ++rewinds_;
-    i = trace_->segment_index_at(pos);
-  } else {
-    while (i < last && tp[i + 1] <= pos) ++i;
-  }
-  hint_ = i;
-  return i;
-}
 
 double TraceCursor::rate_at_bps(double t_s) {
   BBA_ASSERT(t_s >= 0.0, "time must be >= 0");
@@ -37,14 +15,6 @@ double TraceCursor::rate_at_bps(double t_s) {
     t_s = std::fmod(t_s, cycle);
   }
   return trace_->segments()[seek(t_s)].rate_bps;
-}
-
-double TraceCursor::bits_prefix(double t_s) {
-  t_s = std::clamp(t_s, 0.0, trace_->cycle_duration_s());
-  const std::size_t idx = seek(t_s);
-  return trace_->bits_prefix_table()[idx] +
-         trace_->segments()[idx].rate_bps *
-             (t_s - trace_->time_prefix()[idx]);
 }
 
 double TraceCursor::bits_between(double t0_s, double t1_s) {
@@ -69,77 +39,6 @@ double TraceCursor::bits_between(double t0_s, double t1_s) {
 double TraceCursor::average_bps(double t0_s, double t1_s) {
   if (t1_s <= t0_s) return 0.0;
   return bits_between(t0_s, t1_s) / (t1_s - t0_s);
-}
-
-double TraceCursor::finish_time_s(double start_s, double bits) {
-  BBA_ASSERT(start_s >= 0.0, "start time must be >= 0");
-  BBA_ASSERT(bits >= 0.0, "bits must be >= 0");
-  if (bits == 0.0) return start_s;
-
-  const double cycle_s = trace_->cycle_duration_s();
-  const double cycle_bits = trace_->cycle_bits();
-  const bool loop = trace_->loops();
-  const std::vector<CapacityTrace::Segment>& segments = trace_->segments();
-  const std::vector<double>& time_prefix = trace_->time_prefix();
-
-  // Position within the cycle (or past the end for non-looping traces).
-  double cycles_done = 0.0;
-  double pos = start_s;
-  if (loop && pos >= cycle_s) {
-    cycles_done = std::floor(pos / cycle_s);
-    pos -= cycles_done * cycle_s;
-  }
-  if (!loop && pos >= cycle_s) return kInf;
-
-  double remaining = bits;
-  // Finish the partial cycle from `pos`.
-  {
-    const double avail = cycle_bits - bits_prefix(pos);
-    if (avail < remaining) {
-      if (!loop) return kInf;
-      remaining -= avail;
-      cycles_done += 1.0;
-      pos = 0.0;
-      // Skip whole cycles.
-      if (cycle_bits <= 0.0) return kInf;  // permanent outage
-      const double whole = std::floor(remaining / cycle_bits);
-      // Guard the exact-multiple case: keep at least a hair of work for the
-      // in-cycle walk below.
-      if (whole > 0.0 && whole * cycle_bits < remaining) {
-        cycles_done += whole;
-        remaining -= whole * cycle_bits;
-      } else if (whole > 0.0) {
-        cycles_done += whole - 1.0;
-        remaining -= (whole - 1.0) * cycle_bits;
-      }
-    }
-  }
-
-  // Walk segments inside the current cycle until `remaining` is delivered.
-  // `pos` is within [0, cycle_s).
-  std::size_t idx = seek(pos);
-  double t = pos;
-  while (true) {
-    const CapacityTrace::Segment& seg = segments[idx];
-    const double seg_end = time_prefix[idx + 1];
-    const double span = seg_end - t;
-    const double avail = seg.rate_bps * span;
-    if (avail >= remaining && seg.rate_bps > 0.0) {
-      t += remaining / seg.rate_bps;
-      hint_ = idx;  // the next monotone query resumes here
-      return cycles_done * cycle_s + t;
-    }
-    remaining -= avail;
-    t = seg_end;
-    ++idx;
-    if (idx == segments.size()) {
-      if (!loop) return kInf;
-      idx = 0;
-      t = 0.0;
-      cycles_done += 1.0;
-      if (cycle_bits <= 0.0) return kInf;
-    }
-  }
 }
 
 }  // namespace bba::net

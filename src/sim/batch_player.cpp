@@ -4,7 +4,9 @@
 #include <cmath>
 #include <limits>
 
+#include "net/fault_inject.hpp"
 #include "obs/metrics.hpp"
+#include "sim/session_loop.hpp"
 #include "util/assert.hpp"
 #include "util/units.hpp"
 
@@ -73,7 +75,7 @@ void lane_run(Src src, const media::DecisionTable& dt,
   std::size_t mask = scratch.ring_mask, head = 0, cnt = 0;
   double total_w = 0.0, total_r = 0.0, start_w = 0.0, start_r = 0.0,
          steady_w = 0.0, steady_r = 0.0;
-  long long switches = 0, rebuf_n = 0;
+  long long switches = 0, rebuf_n = 0, fault_stalls = 0;
   double rebuf_s = 0.0;
   double buf_sum = 0.0;
   long long buf_n = 0;
@@ -83,12 +85,22 @@ void lane_run(Src src, const media::DecisionTable& dt,
   std::uint32_t obs_chunks = 0, obs_offs = 0, obs_sw = 0;
   std::uint32_t decisions = 0;
 
+  // Fault attribution, as the player's stall_during_fault: the stall
+  // overlaps an injected fault window in some cycle of the looping trace.
+  // Faulted lanes always carry their materialized trace (asserted by
+  // simulate_session_batch), so the source's cycle length is known.
+  const std::vector<net::InjectedFault>* faults = config.faults;
   auto close_stall = [&](double resume_t) {
     if (stall_start >= 0.0) {
       obs::count(obs::Counter::kRebuffers);
       obs::observe(obs::Hist::kStallSeconds, resume_t - stall_start);
       ++rebuf_n;
       rebuf_s += resume_t - stall_start;
+      if (faults != nullptr &&
+          net::fault_overlaps(*faults, src.cycle_s(), /*loops=*/true,
+                              stall_start, resume_t)) {
+        ++fault_stalls;
+      }
       stall_start = -1.0;
     }
   };
@@ -313,6 +325,7 @@ void lane_run(Src src, const media::DecisionTable& dt,
   m.abandoned = abandoned;
   m.rebuffer_count = rebuf_n;
   m.rebuffer_s = rebuf_s;
+  m.fault_stall_count = fault_stalls;
   const double play_hours = util::to_hours(played);
   if (play_hours > 0.0) {
     m.rebuffers_per_hour = static_cast<double>(rebuf_n) / play_hours;
@@ -380,7 +393,8 @@ void run_fallback(BatchLane& lane, BatchScratch& scratch) {
                                   /*loop=*/true);
     trace = &scratch.fallback_trace;
   }
-  simulate_session(*lane.video, *trace, *lane.abr, lane.config, scratch.sink);
+  simulate_session_into(*lane.video, *trace, *lane.abr, lane.config,
+                        scratch.sink);
   *lane.out = scratch.sink.metrics();
 }
 
@@ -398,8 +412,8 @@ bool batch_lane_eligible(const abr::BatchDecisionProfile& profile,
          std::isinf(config.max_wall_s) && config.max_wall_s > 0.0 &&
          std::isinf(config.give_up_stall_s) && config.give_up_stall_s > 0.0 &&
          config.start_chunk == 0 && config.start_wall_s == 0.0 &&
-         config.position_offset_s == 0.0 && config.faults == nullptr &&
-         config.use_trace_cursor && watch_limit > 0.0 &&
+         config.position_offset_s == 0.0 && config.use_trace_cursor &&
+         watch_limit > 0.0 &&
          config.buffer_capacity_s >= V && config.play_threshold_s > 0.0 &&
          config.resume_threshold_s > 0.0 && ladder.min_index() == 0 &&
          ladder.max_index() + 1 == ladder.size() &&
@@ -419,6 +433,8 @@ void simulate_session_batch(std::span<BatchLane> lanes,
                "batch lane missing video/abr/out");
     BBA_ASSERT((lane.trace != nullptr) != (lane.stream != nullptr),
                "batch lane needs exactly one trace source");
+    BBA_ASSERT(lane.config.faults == nullptr || lane.trace != nullptr,
+               "faulted batch lane needs its materialized, faulted trace");
     abr::BatchDecisionProfile profile;
     if (!lane.abr->batch_profile(&profile) ||
         !batch_lane_eligible(profile, lane.config, *lane.video, lane.trace)) {

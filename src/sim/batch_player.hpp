@@ -17,9 +17,11 @@
 //  - obs registry deltas identical (per-chunk histograms, session counters,
 //    cursor query/rewind tallies, reservoir memo-hit accounting);
 //  - zero steady-state heap allocation per session;
-//  - lanes the kernel cannot express (TCP model, faults, seeks, give-up
-//    timers, non-looping traces, ABRs without a BatchDecisionProfile)
+//  - lanes the kernel cannot express (TCP model, seeks, give-up timers,
+//    non-looping traces, ABRs without a BatchDecisionProfile)
 //    transparently fall back to the scalar oracle inside the batch call.
+//    Injected faults (PlayerConfig::faults) are a branch of the kernel:
+//    each stall is attributed at close, exactly as the scalar player does.
 #pragma once
 
 #include <cstddef>
@@ -42,7 +44,8 @@ namespace bba::sim {
 
 /// One session of a batch. Exactly one trace source must be set: `trace`
 /// (materialized, must loop) or `stream` (lazy Markov generation from
-/// `stream_rng`). `abr` provides the decision profile -- and drives the
+/// `stream_rng`). A lane with `config.faults` set must use `trace`: the
+/// faults were injected into it. `abr` provides the decision profile -- and drives the
 /// scalar fallback when the lane is ineligible, so it must be a valid
 /// single-session instance either way.
 struct BatchLane {

@@ -84,7 +84,9 @@ struct PlayerConfig {
 /// reset() at session start. Deterministic: no internal randomness. This
 /// is the allocation-free core: with a reusable sink it performs no heap
 /// allocation (trace integration runs through an incremental
-/// net::TraceCursor).
+/// net::TraceCursor). Callers that know their sink's concrete type can call
+/// simulate_session_into (sim/session_loop.hpp), the same loop without the
+/// virtual sink calls.
 void simulate_session(const media::Video& video,
                       const net::CapacityTrace& trace,
                       abr::RateAdaptation& abr, const PlayerConfig& config,

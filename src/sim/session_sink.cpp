@@ -62,69 +62,15 @@ void StreamingMetricsSink::on_session_start(double chunk_duration_s) {
   metrics_ = SessionMetrics{};
 }
 
-void StreamingMetricsSink::fold(double position_s, double rate_bps,
-                                double played_portion, double start_overlap) {
-  // The exact accumulation sequence of the compute_metrics loop body; every
-  // chunk passes through here exactly once, in download order.
-  (void)position_s;
-  total_weight_ += played_portion;
-  total_rate_ += rate_bps * played_portion;
-  start_weight_ += start_overlap;
-  start_rate_ += rate_bps * start_overlap;
-  const double steady_overlap = played_portion - start_overlap;
-  steady_weight_ += steady_overlap;
-  steady_rate_ += rate_bps * steady_overlap;
-}
-
-void StreamingMetricsSink::push_pending(const PendingChunk& c) {
-  if (count_ == ring_.size()) {
-    // Grow (startup only): re-linearize the FIFO into the new storage.
-    std::vector<PendingChunk> grown;
-    grown.resize(std::max<std::size_t>(64, ring_.size() * 2));
-    for (std::size_t i = 0; i < count_; ++i) {
-      grown[i] = ring_[(head_ + i) % ring_.size()];
-    }
-    ring_.swap(grown);
-    head_ = 0;
+void StreamingMetricsSink::grow_ring() {
+  // Startup only: re-linearize the FIFO into the new storage.
+  std::vector<PendingChunk> grown;
+  grown.resize(std::max<std::size_t>(64, ring_.size() * 2));
+  for (std::size_t i = 0; i < count_; ++i) {
+    grown[i] = ring_[(head_ + i) % ring_.size()];
   }
-  ring_[(head_ + count_) % ring_.size()] = c;
-  ++count_;
-}
-
-void StreamingMetricsSink::on_chunk(const ChunkRecord& chunk,
-                                    double played_s) {
-  if (has_prev_rate_ && chunk.rate_index != prev_rate_index_) {
-    ++switch_count_;
-  }
-  prev_rate_index_ = chunk.rate_index;
-  has_prev_rate_ = true;
-
-  // Independent accumulator summed in on_chunk (= download) order: the
-  // identical floating-point sequence compute_metrics performs over
-  // result.chunks.
-  buffer_sum_ += chunk.buffer_after_s;
-  ++chunk_count_;
-
-  push_pending({chunk.position_s, chunk.rate_bps});
-
-  // Fold every pending chunk whose video interval playback has fully
-  // passed: its compute_metrics clamps are saturated, so its contribution
-  // no longer depends on the final played_s.
-  //   played_portion = clamp(played_final - lo, 0, V) == V
-  //     (played_final >= played_s and played_s - lo >= V already), and
-  //   start_overlap = clamp(min(steady_after, played_final) - lo, 0, V)
-  //                 == clamp(steady_after - lo, 0, V)
-  //     (if played_final < steady_after, both saturate at V).
-  const double V = chunk_duration_s_;
-  while (count_ > 0) {
-    const PendingChunk& front = ring_[head_];
-    if (!(played_s - front.position_s >= V)) break;
-    const double start_overlap =
-        std::clamp(steady_after_s_ - front.position_s, 0.0, V);
-    fold(front.position_s, front.rate_bps, V, start_overlap);
-    head_ = (head_ + 1) % ring_.size();
-    --count_;
-  }
+  ring_.swap(grown);
+  head_ = 0;
 }
 
 void StreamingMetricsSink::on_rebuffer(const RebufferEvent& event) {

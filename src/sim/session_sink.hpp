@@ -12,6 +12,7 @@
 // tests/test_sim_sink.cpp).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -113,6 +114,10 @@ class RecordingSink final : public SessionSink {
 /// them, and the handful still pending at session end are folded during
 /// on_session_end. The ring grows to the deepest buffer ever seen and is
 /// then reused forever: zero steady-state allocation.
+///
+/// The per-chunk path (on_chunk, push_pending, fold) is defined in this
+/// header: the player loop instantiated on this final type
+/// (sim/session_loop.hpp) inlines it instead of making a virtual call.
 class StreamingMetricsSink final : public SessionSink {
  public:
   explicit StreamingMetricsSink(double steady_after_s = 120.0);
@@ -134,6 +139,7 @@ class StreamingMetricsSink final : public SessionSink {
   void fold(double position_s, double rate_bps, double played_portion,
             double start_overlap);
   void push_pending(const PendingChunk& c);
+  void grow_ring();
 
   double steady_after_s_;
   double chunk_duration_s_ = 0.0;
@@ -158,5 +164,62 @@ class StreamingMetricsSink final : public SessionSink {
 
   SessionMetrics metrics_;
 };
+
+inline void StreamingMetricsSink::fold(double position_s, double rate_bps,
+                                       double played_portion,
+                                       double start_overlap) {
+  // The exact accumulation sequence of the compute_metrics loop body; every
+  // chunk passes through here exactly once, in download order.
+  (void)position_s;
+  total_weight_ += played_portion;
+  total_rate_ += rate_bps * played_portion;
+  start_weight_ += start_overlap;
+  start_rate_ += rate_bps * start_overlap;
+  const double steady_overlap = played_portion - start_overlap;
+  steady_weight_ += steady_overlap;
+  steady_rate_ += rate_bps * steady_overlap;
+}
+
+inline void StreamingMetricsSink::push_pending(const PendingChunk& c) {
+  if (count_ == ring_.size()) grow_ring();
+  ring_[(head_ + count_) % ring_.size()] = c;
+  ++count_;
+}
+
+inline void StreamingMetricsSink::on_chunk(const ChunkRecord& chunk,
+                                           double played_s) {
+  if (has_prev_rate_ && chunk.rate_index != prev_rate_index_) {
+    ++switch_count_;
+  }
+  prev_rate_index_ = chunk.rate_index;
+  has_prev_rate_ = true;
+
+  // Independent accumulator summed in on_chunk (= download) order: the
+  // identical floating-point sequence compute_metrics performs over
+  // result.chunks.
+  buffer_sum_ += chunk.buffer_after_s;
+  ++chunk_count_;
+
+  push_pending({chunk.position_s, chunk.rate_bps});
+
+  // Fold every pending chunk whose video interval playback has fully
+  // passed: its compute_metrics clamps are saturated, so its contribution
+  // no longer depends on the final played_s.
+  //   played_portion = clamp(played_final - lo, 0, V) == V
+  //     (played_final >= played_s and played_s - lo >= V already), and
+  //   start_overlap = clamp(min(steady_after, played_final) - lo, 0, V)
+  //                 == clamp(steady_after - lo, 0, V)
+  //     (if played_final < steady_after, both saturate at V).
+  const double V = chunk_duration_s_;
+  while (count_ > 0) {
+    const PendingChunk& front = ring_[head_];
+    if (!(played_s - front.position_s >= V)) break;
+    const double start_overlap =
+        std::clamp(steady_after_s_ - front.position_s, 0.0, V);
+    fold(front.position_s, front.rate_bps, V, start_overlap);
+    head_ = (head_ + 1) % ring_.size();
+    --count_;
+  }
+}
 
 }  // namespace bba::sim

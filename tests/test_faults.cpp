@@ -573,7 +573,7 @@ TEST(AbTestFaults, ResultsBitIdenticalAcrossThreadCounts) {
 
 exp::AbTestResult run_traced_faulted(std::size_t threads,
                                      const std::string& path,
-                                     bool with_faults) {
+                                     bool with_faults, bool batch = true) {
   obs::Observability handle;
   obs::TraceConfig tc;
   tc.path = path;
@@ -583,6 +583,7 @@ exp::AbTestResult run_traced_faulted(std::size_t threads,
   obs::install(&handle);
   const media::VideoLibrary library = media::VideoLibrary::standard(3);
   exp::AbTestConfig cfg = faulted_config(threads);
+  cfg.batch_sessions = batch;
   if (!with_faults) cfg.population.faults.specs.clear();
   exp::AbTestResult result = exp::run_ab_test(tiny_groups(), library, cfg);
   obs::install(nullptr);
@@ -590,15 +591,24 @@ exp::AbTestResult run_traced_faulted(std::size_t threads,
 }
 
 TEST(AbTestFaults, TraceFilesCarryFaultEventsAndStayThreadInvariant) {
+  // Faulted BBA-2 sessions run through the batched kernel and their
+  // traced replays on the scalar player; --no-batch runs both on the
+  // scalar player. The trace bytes must not tell the two apart.
   const std::string p1 = temp_path("t1");
   const std::string p4 = temp_path("t4");
+  const std::string p_scalar = temp_path("scalar");
   const exp::AbTestResult r1 = run_traced_faulted(1, p1, true);
   const exp::AbTestResult r4 = run_traced_faulted(4, p4, true);
+  const exp::AbTestResult r_scalar =
+      run_traced_faulted(1, p_scalar, true, /*batch=*/false);
   EXPECT_TRUE(results_bitwise_equal(r1, r4));
+  EXPECT_TRUE(results_bitwise_equal(r1, r_scalar));
 
   const std::string bytes = read_file(p1);
   ASSERT_FALSE(bytes.empty());
   EXPECT_EQ(bytes, read_file(p4));
+  EXPECT_EQ(bytes, read_file(p_scalar));
+  EXPECT_NE(bytes.find("\"fault\":true"), std::string::npos);
 
   // Headers declare the fault count; each injected fault has an event
   // line; stall lines carry the attribution flag.

@@ -8,9 +8,12 @@
 
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <limits>
+#include <string>
 #include <vector>
 
+#include "core/bba1.hpp"
 #include "core/bba2.hpp"
 #include "exp/abtest.hpp"
 #include "exp/population.hpp"
@@ -24,7 +27,9 @@
 #include "sim/batch_player.hpp"
 #include "sim/metrics.hpp"
 #include "sim/player.hpp"
+#include "sim/session_result.hpp"
 #include "sim/session_sink.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -341,6 +346,157 @@ TEST(SimBatch, IneligibleLanesFallBackIdentically) {
   }
 }
 
+// How one stall relates to the fault windows of its session.
+struct StallCoverage {
+  std::size_t inside = 0;       // within one fault occurrence
+  std::size_t straddling = 0;   // overlaps an occurrence, not contained
+  std::size_t outside = 0;      // overlaps none
+  std::size_t later_cycle = 0;  // overlaps only a repeat in a later cycle
+};
+
+void classify_stalls(const sim::SessionResult& rec,
+                     const std::vector<net::InjectedFault>& faults,
+                     const net::CapacityTrace& trace, StallCoverage& cov) {
+  const double cycle = trace.cycle_duration_s();
+  for (const sim::RebufferEvent& e : rec.rebuffers) {
+    const double t0 = e.start_s;
+    const double t1 = e.start_s + e.duration_s;
+    EXPECT_EQ(e.during_fault, net::fault_overlaps(faults, cycle,
+                                                  trace.loops(), t0, t1));
+    if (!e.during_fault) {
+      ++cov.outside;
+      continue;
+    }
+    if (!net::fault_overlaps(faults, cycle, /*loops=*/false, t0, t1)) {
+      ++cov.later_cycle;
+    }
+    bool contained = false;
+    for (const net::InjectedFault& f : faults) {
+      const double k = std::floor((t0 - f.start_s) / cycle);
+      const double lo = f.start_s + k * cycle;
+      if (f.duration_s > 0.0 && lo <= t0 && t1 <= lo + f.duration_s) {
+        contained = true;
+      }
+    }
+    ++(contained ? cov.inside : cov.straddling);
+  }
+}
+
+TEST(SimBatch, FaultedLanesMatchScalar) {
+  // Faulted lanes run through the kernel, which attributes each stall at
+  // close. Outage, spike and failover plans (and all three at once) over
+  // the population's traces and over short looping traces watched for
+  // several cycles, so stalls also meet faults only through a later
+  // cycle's repeat. SessionMetrics bits (fault_stall_count included) and
+  // the registry snapshot must equal the scalar player's.
+  const char* const specs[] = {
+      "outage:every=90,dur=15..35",
+      "spike:every=60,dur=5..25,depth=0.02..0.15",
+      "failover:every=150,dur=2..6,shift=0.2..0.5",
+      "outage:every=120,dur=20..35;spike:every=90,dur=5..15,depth=0.1..0.3;"
+      "failover:every=600,dur=1..3,shift=0.4..0.7"};
+  std::vector<net::FaultPlan> plans(std::size(specs));
+  for (std::size_t i = 0; i < plans.size(); ++i) {
+    std::string err;
+    ASSERT_TRUE(net::parse_fault_plan(specs[i], &plans[i], &err)) << err;
+  }
+
+  constexpr std::size_t kCases = 96;
+  struct Faulted {
+    std::vector<Case> cases;
+    std::vector<std::vector<net::InjectedFault>> events;
+    std::vector<sim::PlayerConfig> configs;
+  };
+  // Identical inputs for each side; each side owns its library so the
+  // window-sum memo accounting starts cold on both.
+  auto build = [&](Fixture& fx) {
+    Faulted f;
+    f.cases = fx.cases(kCases, /*force_trace=*/true);
+    f.events.resize(kCases);
+    f.configs.resize(kCases);
+    for (std::size_t i = 0; i < kCases; ++i) {
+      Case& c = f.cases[i];
+      util::Rng rng(1000 + i);
+      sim::PlayerConfig cfg = fx.config_for(c);
+      if (i % 3 == 1) {
+        // A short cycle watched for much longer than one cycle.
+        net::MarkovTraceConfig tc = c.env.trace;
+        tc.duration_s = 200.0 + 20.0 * static_cast<double>(i % 5);
+        c.trace = net::make_markov_trace(tc, rng);
+        cfg.watch_duration_s = 1500.0;
+      }
+      c.trace = net::with_faults(c.trace, plans[i % plans.size()], rng,
+                                 &f.events[i]);
+      cfg.faults = &f.events[i];
+      f.configs[i] = cfg;
+    }
+    return f;
+  };
+
+  Fixture fx_batch;
+  Fixture fx_scalar;
+  Faulted fb = build(fx_batch);
+  Faulted fs = build(fx_scalar);
+
+  obs::MetricsRegistry reg_batch(1);
+  std::vector<sim::SessionMetrics> got(kCases);
+  std::size_t kernel_lanes = 0;
+  {
+    obs::SlotBinding bind(&reg_batch, 0);
+    core::Bba2 bba2;
+    core::Bba1 bba1;
+    std::vector<sim::BatchLane> lanes(kCases);
+    for (std::size_t i = 0; i < kCases; ++i) {
+      sim::BatchLane& l = lanes[i];
+      l.video = &fx_batch.library.at(fb.cases[i].spec.video_index);
+      l.abr = i % 2 == 0 ? static_cast<abr::RateAdaptation*>(&bba2) : &bba1;
+      l.config = fb.configs[i];
+      l.trace = &fb.cases[i].trace;
+      l.out = &got[i];
+      abr::BatchDecisionProfile profile;
+      ASSERT_TRUE(l.abr->batch_profile(&profile));
+      if (sim::batch_lane_eligible(profile, l.config, *l.video, l.trace)) {
+        ++kernel_lanes;
+      }
+    }
+    sim::BatchScratch scratch;
+    sim::simulate_session_batch(lanes, scratch);
+  }
+  EXPECT_EQ(kernel_lanes, kCases);
+
+  obs::MetricsRegistry reg_scalar(1);
+  StallCoverage cov;
+  long long fault_stalls = 0;
+  {
+    obs::SlotBinding bind(&reg_scalar, 0);
+    core::Bba2 bba2;
+    core::Bba1 bba1;
+    sim::StreamingMetricsSink sink;
+    sim::SessionResult rec;
+    sim::RecordingSink recorder(&rec);
+    for (std::size_t i = 0; i < kCases; ++i) {
+      const Case& c = fs.cases[i];
+      const media::Video& video = fx_scalar.library.at(c.spec.video_index);
+      abr::RateAdaptation& abr =
+          i % 2 == 0 ? static_cast<abr::RateAdaptation&>(bba2) : bba1;
+      sim::simulate_session(video, c.trace, abr, fs.configs[i], sink);
+      expect_identical(got[i], sink.metrics(), i);
+      fault_stalls += sink.metrics().fault_stall_count;
+      // The recorded replay, muted, shows where each stall fell.
+      obs::SlotBinding mute(nullptr, 0);
+      sim::simulate_session(video, c.trace, abr, fs.configs[i], recorder);
+      classify_stalls(rec, *fs.configs[i].faults, c.trace, cov);
+    }
+  }
+  expect_snapshots_equal(reg_batch.snapshot(), reg_scalar.snapshot());
+
+  EXPECT_GT(fault_stalls, 0);
+  EXPECT_GT(cov.inside, 0u);
+  EXPECT_GT(cov.straddling, 0u);
+  EXPECT_GT(cov.outside, 0u);
+  EXPECT_GT(cov.later_cycle, 0u);
+}
+
 TEST(SimBatch, EligibilityRejectsUnsupportedConfigs) {
   Fixture fx;
   std::vector<Case> cases = fx.cases(1, /*force_trace=*/true);
@@ -368,8 +524,9 @@ TEST(SimBatch, EligibilityRejectsUnsupportedConfigs) {
   EXPECT_FALSE(
       with([](sim::PlayerConfig& c) { c.use_trace_cursor = false; }));
   EXPECT_FALSE(with([](sim::PlayerConfig& c) { c.watch_duration_s = 0.0; }));
+  // Injected faults are a kernel branch, not a reason to fall back.
   static const std::vector<net::InjectedFault> kNoFaults;
-  EXPECT_FALSE(with([](sim::PlayerConfig& c) { c.faults = &kNoFaults; }));
+  EXPECT_TRUE(with([](sim::PlayerConfig& c) { c.faults = &kNoFaults; }));
 
   // Non-looping traces are out (the kernel's wrap math assumes loops).
   net::CapacityTrace non_looping(
@@ -434,8 +591,9 @@ TEST(SimBatch, HarnessBatchOnOffBitIdentical) {
 }
 
 TEST(SimBatch, HarnessBatchWithFaultsBitIdentical) {
-  // A non-empty fault plan routes every key to the scalar path; the knob
-  // must not change a single byte either way.
+  // With a non-empty fault plan every key materializes its faulted trace
+  // and the kernel attributes each stall; the knob must not change a
+  // single byte either way.
   const media::VideoLibrary library = media::VideoLibrary::standard(5);
   exp::AbTestConfig off = harness_config(false, 1);
   exp::AbTestConfig on = harness_config(true, 1);
