@@ -1,7 +1,6 @@
 #include "exp/checkpoint.hpp"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cerrno>
 #include <cstdio>
@@ -15,6 +14,7 @@
 #include "obs/obs.hpp"
 #include "obs/profile.hpp"
 #include "util/assert.hpp"
+#include "util/crc32.hpp"
 
 namespace bba::exp {
 
@@ -65,31 +65,6 @@ std::uint64_t load_u64(const unsigned char* p) {
   std::uint64_t v = 0;
   for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
   return v;
-}
-
-// --- CRC32 (IEEE 802.3, the zlib polynomial) ------------------------------
-
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> t{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    }
-    t[i] = c;
-  }
-  return t;
-}
-
-constexpr std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
-
-std::uint32_t crc32(const char* data, std::size_t n) {
-  std::uint32_t c = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < n; ++i) {
-    c = kCrcTable[(c ^ static_cast<unsigned char>(data[i])) & 0xFFu] ^
-        (c >> 8);
-  }
-  return c ^ 0xFFFFFFFFu;
 }
 
 // --- Bounds-checked read cursor -------------------------------------------
@@ -642,7 +617,7 @@ std::string serialize_checkpoint(const Checkpoint& ck) {
     const std::uint64_t offset = out.size();
     put_u32(out, magic);
     put_u32(out, static_cast<std::uint32_t>(payload.size()));
-    put_u32(out, crc32(payload.data(), payload.size()));
+    put_u32(out, util::crc32(payload.data(), payload.size()));
     out += payload;
     secs.push_back(Sec{magic, offset, 12 + payload.size()});
     payload.clear();
@@ -678,7 +653,7 @@ std::string serialize_checkpoint(const Checkpoint& ck) {
     put_varint(body, s.length);
   }
   out += body;
-  put_u32(out, crc32(body.data(), body.size()));
+  put_u32(out, util::crc32(body.data(), body.size()));
   put_u64(out, body.size());
   out.append(kCkptTrailerMagic, 8);
   return out;
@@ -716,8 +691,8 @@ bool parse_checkpoint(const std::string& bytes, Checkpoint* out,
   if (load_u32(body - 4) != kCkptFooterMagic) {
     return fail("bad checkpoint footer magic");
   }
-  if (crc32(reinterpret_cast<const char*>(body),
-            static_cast<std::size_t>(footer_len)) != footer_crc) {
+  if (util::crc32(body, static_cast<std::size_t>(footer_len)) !=
+      footer_crc) {
     return fail("checkpoint footer CRC mismatch");
   }
 
@@ -752,9 +727,7 @@ bool parse_checkpoint(const std::string& bytes, Checkpoint* out,
     const std::uint32_t plen = load_u32(p + 4);
     const std::uint32_t pcrc = load_u32(p + 8);
     if (plen + 12 != s.length) return false;
-    if (crc32(reinterpret_cast<const char*>(p + 12), plen) != pcrc) {
-      return false;
-    }
+    if (util::crc32(p + 12, plen) != pcrc) return false;
     *c = Cursor{p + 12, p + 12 + plen};
     return true;
   };

@@ -1,12 +1,12 @@
 #include "obs/btrace.hpp"
 
-#include <array>
 #include <bit>
 #include <cstring>
 
 #include "net/fault_inject.hpp"
 #include "obs/trace_jsonl.hpp"
 #include "util/assert.hpp"
+#include "util/crc32.hpp"
 
 namespace bba::obs {
 
@@ -21,9 +21,14 @@ void put_u32(std::string& out, std::uint32_t v) {
   out.append(b, 4);
 }
 
+char* write_u64(char* w, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) w[i] = static_cast<char>(v >> (8 * i));
+  return w + 8;
+}
+
 void put_u64(std::string& out, std::uint64_t v) {
   char b[8];
-  for (int i = 0; i < 8; ++i) b[i] = static_cast<char>(v >> (8 * i));
+  write_u64(b, v);
   out.append(b, 8);
 }
 
@@ -31,12 +36,34 @@ void put_f64(std::string& out, double v) {
   put_u64(out, std::bit_cast<std::uint64_t>(v));
 }
 
-void put_varint(std::string& out, std::uint64_t v) {
+// Worst-case bytes of one LEB128 varint of a u64.
+constexpr std::size_t kMaxVarint = 10;
+
+char* write_varint(char* w, std::uint64_t v) {
   while (v >= 0x80) {
-    out += static_cast<char>(0x80 | (v & 0x7f));
+    *w++ = static_cast<char>(0x80 | (v & 0x7f));
     v >>= 7;
   }
-  out += static_cast<char>(v);
+  *w++ = static_cast<char>(v);
+  return w;
+}
+
+void put_varint(std::string& out, std::uint64_t v) {
+  char b[kMaxVarint];
+  out.append(b, static_cast<std::size_t>(write_varint(b, v) - b));
+}
+
+/// Grows `out` by `max` bytes and returns where they start. The caller
+/// writes at most `max` bytes through the pointer, then hands its end to
+/// trim(), so a column costs one resize instead of one append per byte.
+char* grow(std::string& out, std::size_t max) {
+  const std::size_t at = out.size();
+  out.resize(at + max);
+  return out.data() + at;
+}
+
+void trim(std::string& out, const char* end) {
+  out.resize(static_cast<std::size_t>(end - out.data()));
 }
 
 std::uint32_t load_u32(const unsigned char* p) {
@@ -57,31 +84,6 @@ std::uint64_t load_u64(const unsigned char* p) {
 /// overflow case to special-case.
 std::uint64_t zz(std::uint64_t d) { return (d << 1) ^ (0 - (d >> 63)); }
 std::uint64_t unzz(std::uint64_t z) { return (z >> 1) ^ (0 - (z & 1)); }
-
-// --- CRC32 (IEEE 802.3, the zlib polynomial) ------------------------------
-
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> t{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    }
-    t[i] = c;
-  }
-  return t;
-}
-
-constexpr std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
-
-std::uint32_t crc32(const char* data, std::size_t n) {
-  std::uint32_t c = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < n; ++i) {
-    c = kCrcTable[(c ^ static_cast<unsigned char>(data[i])) & 0xFFu] ^
-        (c >> 8);
-  }
-  return c ^ 0xFFFFFFFFu;
-}
 
 // --- Bounds-checked read cursor -------------------------------------------
 
@@ -134,35 +136,50 @@ struct Cursor {
 // escapes are listed up front as (index, raw f64) pairs and skipped by the
 // delta chain, so one outlier cannot blow up its neighbours' deltas.
 
-void put_num_col(std::string& out, const std::vector<double>& vals,
+// The encoders take a row vector and a field getter, so the chunk columns
+// encode straight from the sink's ChunkRecords.
+template <class Row, class Get>
+void put_num_col(std::string& out, const std::vector<Row>& rows, Get get,
                  bool order2) {
-  std::uint64_t n_esc = 0;
-  for (double v : vals) {
-    if (!jsonl::Num::of(v).is_micro) ++n_esc;
+  std::size_t n_esc = 0;
+  for (const Row& r : rows) {
+    if (!jsonl::Num::is_micro_range(get(r))) ++n_esc;
   }
-  put_varint(out, n_esc);
-  std::size_t prev_idx = 0;
-  bool first = true;
-  for (std::size_t i = 0; i < vals.size(); ++i) {
-    if (jsonl::Num::of(vals[i]).is_micro) continue;
-    put_varint(out, first ? i : i - prev_idx);
-    first = false;
-    prev_idx = i;
-    put_f64(out, vals[i]);
+  // One varint per value plus the escape count; an escape adds its raw f64.
+  char* w = grow(out, kMaxVarint * (rows.size() + 1) + 8 * n_esc);
+  w = write_varint(w, n_esc);
+  if (n_esc != 0) {
+    std::size_t prev_idx = 0;
+    bool first = true;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const double v = get(rows[i]);
+      if (jsonl::Num::is_micro_range(v)) continue;
+      w = write_varint(w, first ? i : i - prev_idx);
+      first = false;
+      prev_idx = i;
+      w = write_u64(w, std::bit_cast<std::uint64_t>(v));
+    }
   }
   std::uint64_t prev = 0, prev_d = 0;
-  for (double v : vals) {
-    const jsonl::Num n = jsonl::Num::of(v);
-    if (!n.is_micro) continue;
-    const std::uint64_t d = n.micro - prev;  // wrapped; zigzag is total
+  for (const Row& r : rows) {
+    const double v = get(r);
+    if (!jsonl::Num::is_micro_range(v)) continue;
+    const std::uint64_t micro = jsonl::Num::to_micro(v);
+    const std::uint64_t d = micro - prev;  // wrapped; zigzag is total
     if (order2) {
-      put_varint(out, zz(d - prev_d));
+      w = write_varint(w, zz(d - prev_d));
       prev_d = d;
     } else {
-      put_varint(out, zz(d));
+      w = write_varint(w, zz(d));
     }
-    prev = n.micro;
+    prev = micro;
   }
+  trim(out, w);
+}
+
+void put_num_col(std::string& out, const std::vector<double>& vals,
+                 bool order2) {
+  put_num_col(out, vals, [](double v) { return v; }, order2);
 }
 
 bool get_num_col(Cursor& c, std::size_t n, bool order2,
@@ -203,12 +220,20 @@ bool get_num_col(Cursor& c, std::size_t n, bool order2,
   return !c.fail && e == n_esc;
 }
 
-void put_u64_col(std::string& out, const std::vector<std::uint64_t>& vals) {
+template <class Row, class Get>
+void put_u64_col(std::string& out, const std::vector<Row>& rows, Get get) {
+  char* w = grow(out, kMaxVarint * rows.size());
   std::uint64_t prev = 0;
-  for (std::uint64_t v : vals) {
-    put_varint(out, zz(v - prev));
+  for (const Row& r : rows) {
+    const std::uint64_t v = get(r);
+    w = write_varint(w, zz(v - prev));
     prev = v;
   }
+  trim(out, w);
+}
+
+void put_u64_col(std::string& out, const std::vector<std::uint64_t>& vals) {
+  put_u64_col(out, vals, [](std::uint64_t v) { return v; });
 }
 
 bool get_u64_col(Cursor& c, std::size_t n, std::vector<std::uint64_t>* out) {
@@ -410,41 +435,34 @@ bool BinaryTraceSink::finish(std::string* out) const {
     if (st_fault_.size() % 8 != 0) p += static_cast<char>(byte);
   }
 
-  auto chunk_u64_col = [&](auto&& get) {
-    colbuf_u64_.clear();
-    for (const sim::ChunkRecord& c : chunks_) colbuf_u64_.push_back(get(c));
-    put_u64_col(p, colbuf_u64_);
-  };
-  auto chunk_num_col = [&](auto&& get, bool order2) {
-    colbuf_.clear();
-    for (const sim::ChunkRecord& c : chunks_) colbuf_.push_back(get(c));
-    put_num_col(p, colbuf_, order2);
-  };
-  chunk_u64_col([](const sim::ChunkRecord& c) {
+  put_u64_col(p, chunks_, [](const sim::ChunkRecord& c) {
     return static_cast<std::uint64_t>(c.index);
   });
-  chunk_u64_col([](const sim::ChunkRecord& c) {
+  put_u64_col(p, chunks_, [](const sim::ChunkRecord& c) {
     return static_cast<std::uint64_t>(c.rate_index);
   });
-  chunk_num_col([](const sim::ChunkRecord& c) { return c.rate_bps; }, false);
-  chunk_num_col([](const sim::ChunkRecord& c) { return c.size_bits; }, false);
-  chunk_num_col([](const sim::ChunkRecord& c) { return c.download_s; },
-                false);
-  chunk_num_col([](const sim::ChunkRecord& c) { return c.throughput_bps; },
-                false);
-  chunk_num_col([](const sim::ChunkRecord& c) { return c.buffer_after_s; },
-                false);
+  const auto chunk_num_col = [&](double sim::ChunkRecord::*field,
+                                 bool order2) {
+    put_num_col(
+        p, chunks_, [field](const sim::ChunkRecord& c) { return c.*field; },
+        order2);
+  };
+  chunk_num_col(&sim::ChunkRecord::rate_bps, false);
+  chunk_num_col(&sim::ChunkRecord::size_bits, false);
+  chunk_num_col(&sim::ChunkRecord::download_s, false);
+  chunk_num_col(&sim::ChunkRecord::throughput_bps, false);
+  chunk_num_col(&sim::ChunkRecord::buffer_after_s, false);
   // Chunk times are monotone with near-constant stride; delta-of-delta
   // brings their varints down to a byte or two each.
-  chunk_num_col([](const sim::ChunkRecord& c) { return c.request_s; }, true);
-  chunk_num_col([](const sim::ChunkRecord& c) { return c.finish_s; }, true);
-  chunk_num_col([](const sim::ChunkRecord& c) { return c.position_s; }, true);
+  chunk_num_col(&sim::ChunkRecord::request_s, true);
+  chunk_num_col(&sim::ChunkRecord::finish_s, true);
+  chunk_num_col(&sim::ChunkRecord::position_s, true);
   put_num_col(p, played_at_chunk_, /*order2=*/true);
 
   BBA_ASSERT(p.size() <= 0xFFFFFFFFu, "btrace block payload exceeds 4 GiB");
   put_u32(*out, kBtraceBlockMagic);
   put_u32(*out, static_cast<std::uint32_t>(p.size()));
-  put_u32(*out, crc32(p.data(), p.size()));
+  put_u32(*out, util::crc32(p.data(), p.size()));
   out->append(p);
   return true;
 }
@@ -539,7 +557,7 @@ void BinaryTraceCollector::finalize() {
   std::string tail;
   put_u32(tail, kBtraceFooterMagic);
   tail += footer;
-  put_u32(tail, crc32(footer.data(), footer.size()));
+  put_u32(tail, util::crc32(footer.data(), footer.size()));
   put_u64(tail, footer.size());
   tail.append(kBtraceTrailerMagic, sizeof kBtraceTrailerMagic);
   TraceCollector::write(tail);
@@ -667,7 +685,7 @@ bool BtraceReader::open(const std::string& path, std::string* error) {
     *error = path + ": cannot read footer";
     return false;
   }
-  if (crc32(footer.data(), footer.size()) != footer_crc) {
+  if (util::crc32(footer.data(), footer.size()) != footer_crc) {
     *error = path + ": corrupt footer (CRC mismatch)";
     return false;
   }
@@ -742,7 +760,7 @@ bool BtraceReader::open_scan(const std::string& path, std::string* error) {
       *error = path + ": cannot read block payload";
       return false;
     }
-    if (crc32(buf.data(), buf.size()) != payload_crc) {
+    if (util::crc32(buf.data(), buf.size()) != payload_crc) {
       *error = path + ": corrupt block (CRC mismatch) at offset " +
                std::to_string(pos);
       return false;
@@ -797,7 +815,7 @@ bool BtraceReader::read_session(std::size_t i, std::string* jsonl_out,
              std::to_string(entry.offset);
     return false;
   }
-  if (crc32(blockbuf_.data() + kBtraceBlockFramingSize, payload_len) !=
+  if (util::crc32(blockbuf_.data() + kBtraceBlockFramingSize, payload_len) !=
       payload_crc) {
     *error = "corrupt block (CRC mismatch) at offset " +
              std::to_string(entry.offset);

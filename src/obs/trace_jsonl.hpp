@@ -47,8 +47,14 @@ struct Num {
   /// integer (~10x cheaper). Values outside it (negative, >= ~9e12,
   /// non-finite) keep the double and fall back to %.10g.
   static Num of(double v) {
-    if (!(v >= 0.0) || v >= 9.0e12) return Num{false, 0, v};
-    return Num{true, static_cast<std::uint64_t>(v * 1e6 + 0.5), 0.0};
+    if (!is_micro_range(v)) return Num{false, 0, v};
+    return Num{true, to_micro(v), 0.0};
+  }
+  /// The two halves of of(), for encoders that classify a whole column
+  /// before converting it.
+  static bool is_micro_range(double v) { return v >= 0.0 && v < 9.0e12; }
+  static std::uint64_t to_micro(double v) {
+    return static_cast<std::uint64_t>(v * 1e6 + 0.5);
   }
   static Num from_micro(std::uint64_t m) { return Num{true, m, 0.0}; }
 };

@@ -17,6 +17,7 @@
 #include "media/video.hpp"
 #include "obs/timeline.hpp"
 #include "sim/metrics.hpp"
+#include "util/rng.hpp"
 
 namespace bba::exp {
 namespace {
@@ -236,6 +237,54 @@ TEST(CheckpointContainer, DetectsCorruptionAndTruncation) {
   std::string magic = bytes;
   magic[0] = 'X';
   EXPECT_FALSE(parse_checkpoint(magic, &out, &error));
+}
+
+/// Every single-bit flip inside any section (framing or payload) must be
+/// rejected. Per section the sweep covers every bit of its first and last
+/// 64 bytes plus a seeded share of 2,000 positions in between.
+TEST(CheckpointContainer, EverySingleBitFlipInASectionIsRejected) {
+  const std::string bytes = serialize_checkpoint(sample_checkpoint());
+  struct Span {
+    std::size_t begin, end;
+  };
+  std::vector<Span> sections;
+  std::size_t at = 16;  // past the file header
+  auto load_u32 = [&](std::size_t i) {
+    std::uint32_t v = 0;
+    for (int k = 0; k < 4; ++k) {
+      v |= static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[i + k]))
+           << (8 * k);
+    }
+    return v;
+  };
+  while (load_u32(at) != kCkptFooterMagic) {
+    const std::size_t len = 12 + load_u32(at + 4);
+    sections.push_back({at, at + len});
+    at += len;
+  }
+  ASSERT_EQ(sections.size(), 4u);  // RUN0, CELL, TLIN, TRCE
+
+  util::Rng rng(2014);
+  Checkpoint out;
+  std::string error;
+  for (const Span& sec : sections) {
+    const std::size_t n_bits = (sec.end - sec.begin) * 8;
+    std::vector<std::size_t> bits;
+    for (std::size_t b = 0; b < n_bits; ++b) {
+      if (b < 64 * 8 || b >= n_bits - 64 * 8) bits.push_back(b);
+    }
+    for (std::size_t k = 0; k < 2000 / sections.size(); ++k) {
+      bits.push_back(static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(n_bits) - 1)));
+    }
+    for (const std::size_t bit : bits) {
+      std::string corrupt = bytes;
+      const std::size_t i = sec.begin + bit / 8;
+      corrupt[i] = static_cast<char>(corrupt[i] ^ (1 << (bit % 8)));
+      ASSERT_FALSE(parse_checkpoint(corrupt, &out, &error))
+          << "section at " << sec.begin << ", bit " << bit;
+    }
+  }
 }
 
 TEST(CheckpointContainer, SaveLoadRoundTrip) {

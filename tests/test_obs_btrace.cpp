@@ -11,13 +11,16 @@
 #include <string>
 #include <vector>
 
+#include "abr/bola.hpp"
 #include "core/bba2.hpp"
 #include "exp/abtest.hpp"
+#include "exp/checkpoint.hpp"
 #include "media/video.hpp"
 #include "net/capacity_trace.hpp"
 #include "net/fault_inject.hpp"
 #include "obs/btrace.hpp"
 #include "obs/obs.hpp"
+#include "obs/setup.hpp"
 #include "obs/trace.hpp"
 #include "sim/player.hpp"
 #include "sim/session_sink.hpp"
@@ -259,6 +262,164 @@ TEST(BtraceRoundTrip, EscapeValuesAndHostileGroupNameMatchJsonl) {
   EXPECT_EQ(cat_btrace(cfg.path), jsonl);
 }
 
+/// A session built to hit the encoders' worst cases: every chunk field
+/// alternates between just under the 9e12 escape bound and 0, starting
+/// high, and chunk indices between 2^63 and 0, so each delta (and
+/// delta-of-delta) zigzags to near 2^64 and takes a 10-byte varint. The
+/// index, rate and throughput columns fill exactly the 10 bytes per value
+/// (plus the escape count) their encoders reserve. In five of the columns
+/// every third value is an escape (negative, NaN, or >= 9e12), and the
+/// off, switch and stall columns are empty. The decoded block must
+/// reproduce the JSONL sink's bytes; a write past the reserved space
+/// either corrupts them or trips the sanitizer build.
+TEST(BtraceRoundTrip, WorstCaseVarintsAndEscapesMatchJsonl) {
+  obs::TraceConfig cfg;
+  cfg.path = temp_path("worst", ".btrace");
+  cfg.sample = 1;
+
+  constexpr double kHigh = 8.999999e12;
+  const double escapes[3] = {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                             9.5e12};
+  std::vector<sim::ChunkRecord> chunks(64);
+  std::vector<double> played(chunks.size());
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    const double v = i % 2 == 0 ? kHigh - static_cast<double>(i) : 0.0;
+    const double odd = i % 3 == 2 ? escapes[(i / 3) % 3] : v;
+    sim::ChunkRecord& c = chunks[i];
+    c.index = i % 2 == 0 ? (std::size_t{1} << 63) + i : i;
+    c.rate_index = 3;  // constant: no switch lines
+    c.rate_bps = v;
+    c.size_bits = odd;
+    c.request_s = v;
+    c.finish_s = odd;
+    c.download_s = odd;
+    c.throughput_bps = v;
+    c.buffer_after_s = odd;
+    c.off_wait_s = 0.0;  // no off lines
+    c.position_s = v;
+    played[i] = odd;
+  }
+  sim::SessionSummary summary;
+  summary.chunk_duration_s = 4.0;
+  summary.played_s = 256.0;
+  summary.wall_s = 300.0;
+  summary.started = true;
+
+  auto feed = [&](sim::SessionSink& sink) {
+    sink.on_session_start(4.0);
+    for (std::size_t i = 0; i < chunks.size(); ++i) {
+      sink.on_chunk(chunks[i], played[i]);
+    }
+    sink.on_session_end(summary);
+  };
+
+  std::string jsonl;
+  {
+    obs::SessionTraceSink sink;
+    sink.begin(cfg, 1, 0, 0, 0, "bba2", true);
+    feed(sink);
+    ASSERT_TRUE(sink.finish(&jsonl));
+  }
+  std::string block;
+  {
+    obs::BinaryTraceCollector collector(cfg);
+    auto sink = collector.make_sink();
+    sink->begin(cfg, 1, 0, 0, 0, "bba2", true);
+    feed(*sink);
+    ASSERT_TRUE(sink->finish(&block));
+    collector.write(block);
+    collector.finalize();
+  }
+  EXPECT_EQ(jsonl.find("\"ev\":\"switch\""), std::string::npos);
+  EXPECT_EQ(jsonl.find("\"ev\":\"off\""), std::string::npos);
+  EXPECT_EQ(jsonl.find("\"ev\":\"stall\""), std::string::npos);
+  EXPECT_NE(jsonl.find("nan"), std::string::npos);
+  // Most of the 64 chunks spend near 10 bytes on each of their 11 columns.
+  EXPECT_GT(block.size(), 64u * 10u * 8u);
+  EXPECT_EQ(cat_btrace(cfg.path), jsonl);
+}
+
+// --- Golden byte pin -----------------------------------------------------
+// The trace and checkpoint bytes of a faulted, fully observed run, pinned
+// by constant: control, BOLA and BBA-2 under the benchmark's faulted_obs
+// fault plan, 1-in-4 sampling plus anomaly capture, the health monitor,
+// and a checkpoint every 16 keys. The constants were recorded before the
+// CRC-32 and the column encoders were rewritten, so they pin that rewrite
+// as byte-neutral.
+
+constexpr const char* kFaultedObsSpec =
+    "outage:every=300,dur=20..35;spike:every=240,depth=0.1..0.3";
+
+std::uint64_t fnv1a64(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+struct ObservedRun {
+  std::string trace_path;
+  std::string trace;
+  std::string checkpoint;
+};
+
+ObservedRun faulted_obs_run(const std::string& format, std::size_t threads) {
+  const std::string tag = format + std::to_string(threads);
+  obs::ObsOptions opts;
+  opts.trace_out = temp_path(("golden_" + tag).c_str(), ".trace");
+  opts.trace_format = format;
+  opts.trace_sample = 4;
+  opts.alerts_out = temp_path(("golden_" + tag).c_str(), ".alerts");
+  exp::AbTestConfig cfg;
+  cfg.sessions_per_window = 6;
+  cfg.days = 1;
+  cfg.seed = 2014;
+  cfg.threads = threads;
+  EXPECT_TRUE(net::parse_fault_plan(kFaultedObsSpec, &cfg.population.faults));
+  exp::CheckpointOptions ck;
+  ck.out = temp_path(("golden_" + tag).c_str(), ".ckpt");
+  ck.every = 16;
+  std::vector<exp::Group> groups;
+  groups.push_back({"control", exp::make_control_factory()});
+  groups.push_back(
+      {"bola", [] { return std::make_unique<abr::BolaAbr>(); }});
+  groups.push_back({"bba2", exp::make_bba2_factory()});
+  const media::VideoLibrary library = media::VideoLibrary::standard(11);
+  {
+    obs::ObsScope scope(opts, threads);
+    EXPECT_TRUE(scope.ok());
+    exp::AbTestResult result;
+    std::string error;
+    EXPECT_TRUE(exp::run_ab_test_checkpointed(groups, library, cfg, ck,
+                                              &result, &error))
+        << error;
+  }
+  return {opts.trace_out, read_file(opts.trace_out), read_file(ck.out)};
+}
+
+TEST(BtraceGolden, FaultedObservedRunBytesArePinned) {
+  constexpr std::uint64_t kBtrace = 0x1cfea6dc9a931ca6ULL;
+  constexpr std::uint64_t kJsonl = 0x02cf8609e047514aULL;
+  constexpr std::uint64_t kCheckpoint = 0x1241cfd74bb63cd2ULL;
+  for (std::size_t threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    const ObservedRun b = faulted_obs_run("btrace", threads);
+    const ObservedRun j = faulted_obs_run("jsonl", threads);
+    // The run exercises what the encoder must get right: fault events,
+    // fault-attributed stalls and anomaly captures.
+    ASSERT_NE(j.trace.find("\"ev\":\"fault\""), std::string::npos);
+    ASSERT_NE(j.trace.find("\"fault\":true"), std::string::npos);
+    ASSERT_NE(j.trace.find("\"anomaly\":true"), std::string::npos);
+    EXPECT_EQ(cat_btrace(b.trace_path), j.trace);
+    EXPECT_EQ(fnv1a64(b.trace), kBtrace) << std::hex << fnv1a64(b.trace);
+    EXPECT_EQ(fnv1a64(j.trace), kJsonl) << std::hex << fnv1a64(j.trace);
+    EXPECT_EQ(fnv1a64(b.checkpoint), kCheckpoint)
+        << std::hex << fnv1a64(b.checkpoint);
+  }
+}
+
 // --- Footer index ---------------------------------------------------------
 
 TEST(BtraceIndex, FooterLookupAgreesWithLinearScan) {
@@ -393,6 +554,67 @@ TEST(BtraceCorruption, BlockCrcMismatchIsDetected) {
   // The scan hits the same CRC failure.
   EXPECT_FALSE(reader.open_scan(bad, &error));
   EXPECT_NE(error.find("CRC mismatch"), std::string::npos) << error;
+}
+
+/// Every single-bit flip inside a real block's payload must fail that
+/// block's CRC. Bits swept: all of the first and last 64 payload bytes,
+/// plus 2,000 seeded positions in between.
+TEST(BtraceCorruption, EverySingleBitFlipInABlockPayloadIsRejected) {
+  const std::string many = temp_path("flip_src", ".btrace");
+  run_with_format(true, 1, many, 2, true);
+  obs::BtraceReader source;
+  std::string error;
+  ASSERT_TRUE(source.open(many, &error)) << error;
+  ASSERT_GT(source.session_count(), 0u);
+  // The largest block: the most chunk-column bytes.
+  std::size_t pick = 0;
+  for (std::size_t i = 1; i < source.session_count(); ++i) {
+    if (source.entry(i).length > source.entry(pick).length) pick = i;
+  }
+  const std::string block = read_file(many).substr(
+      static_cast<std::size_t>(source.entry(pick).offset),
+      static_cast<std::size_t>(source.entry(pick).length));
+
+  // A one-block file: header, the block, footer index.
+  obs::TraceConfig cfg;
+  cfg.path = temp_path("flip_one", ".btrace");
+  {
+    obs::BinaryTraceCollector collector(cfg);
+    collector.write(block);
+    collector.finalize();
+  }
+  const std::string clean = read_file(cfg.path);
+  const std::size_t payload_at =
+      obs::kBtraceFileHeaderSize + obs::kBtraceBlockFramingSize;
+  const std::size_t payload_len = block.size() - obs::kBtraceBlockFramingSize;
+  ASSERT_GT(payload_len, 128u);
+
+  std::vector<std::size_t> bits;  // bit positions within the payload
+  for (std::size_t b = 0; b < 64 * 8; ++b) {
+    bits.push_back(b);
+    bits.push_back((payload_len - 64) * 8 + b);
+  }
+  util::Rng rng(2014);
+  const auto last_middle_bit =
+      static_cast<std::int64_t>(payload_len - 64) * 8 - 1;
+  for (int k = 0; k < 2000; ++k) {
+    bits.push_back(
+        static_cast<std::size_t>(rng.uniform_int(64 * 8, last_middle_bit)));
+  }
+
+  const std::string flipped_path = temp_path("flip_bad", ".btrace");
+  for (const std::size_t bit : bits) {
+    std::string bytes = clean;
+    bytes[payload_at + bit / 8] =
+        static_cast<char>(bytes[payload_at + bit / 8] ^ (1 << (bit % 8)));
+    write_file(flipped_path, bytes);
+    obs::BtraceReader reader;
+    ASSERT_TRUE(reader.open(flipped_path, &error)) << error;
+    std::string out;
+    ASSERT_FALSE(reader.read_session(0, &out, nullptr, &error))
+        << "bit " << bit;
+    ASSERT_NE(error.find("CRC mismatch"), std::string::npos) << error;
+  }
 }
 
 // --- Collector I/O-error surfacing (regression) ---------------------------

@@ -1,13 +1,16 @@
-// Tests for bba::util: deterministic RNG, CSV, table formatting, units.
+// Tests for bba::util: deterministic RNG, CSV, table formatting, units,
+// CRC-32.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "util/crc32.hpp"
 #include "util/csv.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -264,6 +267,47 @@ TEST(Units, Conversions) {
   EXPECT_DOUBLE_EQ(minutes(2), 120.0);
   EXPECT_DOUBLE_EQ(hours(1), 3600.0);
   EXPECT_DOUBLE_EQ(to_hours(1800), 0.5);
+}
+
+// --- CRC-32 ----------------------------------------------------------------
+
+/// Bit-at-a-time CRC-32/ISO-HDLC straight from the definition: the oracle
+/// the table-driven implementation must equal.
+std::uint32_t crc32_bitwise(const unsigned char* p, std::size_t n) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1)));
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, KnownAnswers) {
+  EXPECT_EQ(crc32("", 0), 0u);
+  EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(crc32("The quick brown fox jumps over the lazy dog", 43),
+            0x414FA339u);
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  Rng rng(2014);
+  std::vector<unsigned char> buf(300 + 8);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rng.next_u64());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      ASSERT_EQ(crc32(buf.data() + offset, len),
+                crc32_bitwise(buf.data() + offset, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32, MatchesBitwiseReferenceOnOneMebibyte) {
+  Rng rng(7);
+  std::vector<unsigned char> buf(std::size_t{1} << 20);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rng.next_u64());
+  EXPECT_EQ(crc32(buf.data(), buf.size()),
+            crc32_bitwise(buf.data(), buf.size()));
 }
 
 }  // namespace
