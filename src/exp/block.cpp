@@ -279,10 +279,8 @@ void SessionBlockRunner::Impl::run_batched_key(
   s.fresh_abrs.clear();
   if (s.lanes.size() < n_groups) s.lanes.resize(n_groups);
 
-  // Resolve each group's algorithm instance and classify the lanes. The
-  // eligibility probe runs with a null trace: materialized traces here
-  // always loop, so the verdict is the same either way.
-  bool any_ineligible = false;
+  // Resolve each group's algorithm instance. The batch call routes each
+  // lane to the kernel or the scalar loop itself.
   for (std::size_t g = 0; g < n_groups; ++g) {
     abr::RateAdaptation* algorithm;
     if (groups[g].reuse_instances) {
@@ -293,11 +291,6 @@ void SessionBlockRunner::Impl::run_batched_key(
       algorithm = s.fresh_abrs.back().get();
     }
     BBA_ASSERT(algorithm != nullptr, "group factory returned null");
-    abr::BatchDecisionProfile profile;
-    if (!algorithm->batch_profile(&profile) ||
-        !sim::batch_lane_eligible(profile, player, video, nullptr)) {
-      any_ineligible = true;
-    }
     sim::BatchLane& lane = s.lanes[g];
     lane = sim::BatchLane{};
     lane.video = &video;
@@ -308,13 +301,16 @@ void SessionBlockRunner::Impl::run_batched_key(
 
   // Outage sessions need the materialized trace (outages are drawn after
   // the full Markov walk, so a lazy stream cannot know them); faulted
-  // sessions and scalar fallbacks need it too. Faults are injected once per
-  // key, on the kFaults substream, before any lane runs; every lane then
+  // sessions need it too, and so do the TCP model and the cursor-less
+  // lookups, which read a CapacityTrace. Faults are injected once per key,
+  // on the kFaults substream, before any lane runs; every lane then
   // attributes its stalls against the same events. Everything else streams
-  // the kTrace substream lazily -- generated once, shared by every group's
-  // lane.
+  // the kTrace substream lazily -- generated once, as far as the furthest
+  // session reaches, and shared by every group's lane, kernel and scalar
+  // alike.
   const bool faulted = population.has_faults();
-  const bool materialize = env.has_outages || any_ineligible || faulted;
+  const bool materialize = env.has_outages || faulted ||
+                           player.tcp.has_value() || !player.use_trace_cursor;
   if (materialize) {
     population.trace_for_into(env, key, s.trace_scratch, s.trace);
     if (faulted) population.inject_faults(key, s.fault_scratch, s.trace);

@@ -32,7 +32,7 @@ void SlidingMeanEstimator::add_sample(double throughput_bps,
 double SlidingMeanEstimator::estimate_bps() const {
   BBA_ASSERT(!samples_.empty(), "estimate_bps() before any sample");
   double sum = 0.0;
-  for (std::size_t i = 0; i < samples_.size(); ++i) sum += samples_.at(i);
+  samples_.for_each([&sum](double v) { sum += v; });
   return sum / static_cast<double>(samples_.size());
 }
 
@@ -69,15 +69,14 @@ void HarmonicMeanEstimator::add_sample(double throughput_bps,
 double HarmonicMeanEstimator::estimate_bps() const {
   BBA_ASSERT(!samples_.empty(), "estimate_bps() before any sample");
   double sum_inv = 0.0;
-  for (std::size_t i = 0; i < samples_.size(); ++i) {
+  samples_.for_each([&sum_inv](double v) {
     // An outage chunk reports ~0 throughput; treating it as exactly zero
     // would pin the estimate at 0 forever (1/0 = inf), so zero samples
     // enter the mean floored at kMinHarmonicSampleBps. The estimate then
     // collapses toward the floor while outage samples are in the window
     // and recovers as they age out. Positive samples are untouched.
-    const double s = std::max(samples_.at(i), kMinHarmonicSampleBps);
-    sum_inv += 1.0 / s;
-  }
+    sum_inv += 1.0 / std::max(v, kMinHarmonicSampleBps);
+  });
   return static_cast<double>(samples_.size()) / sum_inv;
 }
 

@@ -21,14 +21,16 @@ class SampleWindow {
  public:
   explicit SampleWindow(std::size_t window) : buf_(window) {}
 
-  /// Appends a sample, evicting the oldest once the window is full.
+  /// Appends a sample, evicting the oldest once the window is full. The
+  /// oldest sample sits at index 0 until the window first fills (head_
+  /// only moves once it is full), so no index needs a modulo.
   void push(double v) {
     if (count_ < buf_.size()) {
-      buf_[(head_ + count_) % buf_.size()] = v;
+      buf_[count_] = v;
       ++count_;
     } else {
       buf_[head_] = v;
-      head_ = (head_ + 1) % buf_.size();
+      if (++head_ == buf_.size()) head_ = 0;
     }
   }
 
@@ -40,9 +42,13 @@ class SampleWindow {
   std::size_t size() const { return count_; }
   bool empty() const { return count_ == 0; }
 
-  /// i-th sample, oldest first (i < size()).
-  double at(std::size_t i) const {
-    return buf_[(head_ + i) % buf_.size()];
+  /// Calls f(sample) on every sample, oldest first, as two contiguous
+  /// runs: [head_, count_) and, once the window has wrapped, [0, head_).
+  template <class F>
+  void for_each(F f) const {
+    const double* b = buf_.data();
+    for (std::size_t i = head_; i < count_; ++i) f(b[i]);
+    for (std::size_t i = 0; i < head_; ++i) f(b[i]);
   }
 
  private:

@@ -4,14 +4,15 @@ namespace bba::net {
 
 void TraceStream::reserve_for(double max_duration_s) {
   const std::size_t cap = static_cast<std::size_t>(max_duration_s / 0.5) + 64;
-  if (tp_buf.size() < cap + 1) {
-    tp_buf.resize(cap + 1);
-    bp_buf.resize(cap + 1);
-    rate_buf.resize(cap);
+  if (capacity < cap) {
+    tp_buf = std::make_unique_for_overwrite<double[]>(cap + 1);
+    bp_buf = std::make_unique_for_overwrite<double[]>(cap + 1);
+    rate_buf = std::make_unique_for_overwrite<double[]>(cap);
+    capacity = cap;
   }
-  tp = tp_buf.data();
-  bp = bp_buf.data();
-  rate = rate_buf.data();
+  tp = tp_buf.get();
+  bp = bp_buf.get();
+  rate = rate_buf.get();
 }
 
 void TraceStream::reset(const MarkovTraceConfig& cfg, util::Rng r) {

@@ -1,22 +1,28 @@
-// Incremental capacity-trace generation for the batched session kernel.
+// Incremental capacity-trace generation for the session loops.
 //
-// The scalar hot path materializes a session's whole Markov trace (7200 s,
-// ~700 segments) before the player consumes, typically, the first tenth of
-// it. TraceStream generates the identical committed segment sequence --
-// same rng consumption, same prefix arithmetic as make_markov_trace_into
-// followed by CapacityTrace::assign -- but only as far as consumers ask,
-// which removes most of the generation cost from the per-session budget.
+// A session's whole Markov trace (7200 s, ~720 segments) costs several
+// times what the session consumes of it: on the paper grid the furthest
+// of a key's six sessions reaches a quarter of it on average. TraceStream generates the identical
+// committed segment sequence -- same rng consumption, same prefix
+// arithmetic as make_markov_trace_into followed by CapacityTrace::assign --
+// but only as far as consumers ask, which removes most of the generation
+// cost from the per-session budget. The A/B harness streams every
+// outage-free, unfaulted key: the batched kernel's lanes and the scalar
+// loop's (sim/session_loop.hpp, TraceStreamReader) read one stream per key.
 //
 // Outage splicing (Population sessions with env.has_outages) is deliberately
 // NOT supported here: insert_outages draws from the same kTrace rng *after*
 // every Markov segment has been generated, so a lazy generator cannot know
 // the outage draws without defeating its own laziness. Those sessions
-// materialize their trace exactly as before and run through FixedSource.
+// materialize their trace exactly as before (as do faulted ones, whose
+// faults are injected into the whole trace) and run through FixedSource or
+// the scalar loop's CapacityTraceReader.
 //
-// LaneCursor is the batched kernel's counterpart of net::TraceCursor:
-// bit-identical finish times AND identical query/rewind tallies over either
-// source (enforced by tests/test_sim_batch.cpp), with the walk running over
-// raw prefix arrays the lane caches for its whole lifetime.
+// LaneCursor is the streaming counterpart of net::TraceCursor, shared by
+// the batched kernel and the scalar loop: bit-identical finish times AND
+// identical query/rewind tallies over either source (enforced by
+// tests/test_sim_batch.cpp), with the walk running over raw prefix arrays
+// the reader caches for its whole lifetime.
 #pragma once
 
 #include <algorithm>
@@ -24,7 +30,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <vector>
+#include <memory>
 
 #include "net/capacity_trace.hpp"
 #include "net/trace_gen.hpp"
@@ -43,7 +49,11 @@ struct TraceStream {
   util::Rng rng{0};
   double base_t = 0.0;
 
-  std::vector<double> tp_buf, bp_buf, rate_buf;
+  // Left uninitialized: every entry is written before it is read. The
+  // bound below is ~20 times the segments a Population trace commits, so
+  // most pages of each buffer are never touched and never resident.
+  std::unique_ptr<double[]> tp_buf, bp_buf, rate_buf;
+  std::size_t capacity = 0;  ///< segments the buffers hold
   double* tp = nullptr;
   double* bp = nullptr;
   double* rate = nullptr;

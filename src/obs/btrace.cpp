@@ -182,14 +182,22 @@ void put_num_col(std::string& out, const std::vector<double>& vals,
   put_num_col(out, vals, [](double v) { return v; }, order2);
 }
 
-bool get_num_col(Cursor& c, std::size_t n, bool order2,
+// The out-of-band escapes of one num column, decoded before its values.
+struct Escapes {
+  std::vector<std::size_t> idx;
+  std::vector<double> val;
+};
+
+bool get_num_col(Cursor& c, std::size_t n, bool order2, Escapes& esc,
                  std::vector<jsonl::Num>* out) {
   out->clear();
   out->reserve(n);
   const std::uint64_t n_esc = c.varint();
   if (c.fail || n_esc > n) return false;
-  std::vector<std::size_t> esc_idx(static_cast<std::size_t>(n_esc));
-  std::vector<double> esc_val(static_cast<std::size_t>(n_esc));
+  std::vector<std::size_t>& esc_idx = esc.idx;
+  std::vector<double>& esc_val = esc.val;
+  esc_idx.resize(static_cast<std::size_t>(n_esc));
+  esc_val.resize(static_cast<std::size_t>(n_esc));
   std::size_t idx = 0;
   for (std::size_t i = 0; i < n_esc; ++i) {
     idx = i == 0 ? static_cast<std::size_t>(c.varint())
@@ -589,6 +597,31 @@ bool BinaryTraceCollector::resume_from(const TraceResumeState& st,
 
 // --- BtraceReader ---------------------------------------------------------
 
+namespace {
+
+// A fault table row as stored in a block.
+struct FaultRow {
+  std::uint8_t kind;
+  double start_s, dur_s, factor;
+};
+
+}  // namespace
+
+// Everything read_session decodes a block into. The reader keeps one, so
+// decoding session after session reuses the storage instead of allocating
+// every column anew.
+struct BtraceReader::Columns {
+  std::vector<FaultRow> faults;
+  std::vector<std::uint64_t> off_k, sw_k, sw_from, sw_to, st_k, ck_k, ck_rate;
+  std::vector<jsonl::Num> off_start, off_wait, sw_t, st_start, st_dur;
+  std::vector<jsonl::Num> ck_rate_bps, ck_bits, ck_dl, ck_tput, ck_buf,
+      ck_req, ck_fin, ck_pos, ck_played;
+  std::vector<std::uint8_t> st_fault;
+  Escapes esc;
+};
+
+BtraceReader::BtraceReader() : cols_(std::make_unique<Columns>()) {}
+
 BtraceReader::~BtraceReader() {
   if (file_ != nullptr) std::fclose(file_);
 }
@@ -848,13 +881,11 @@ bool BtraceReader::read_session(std::size_t i, std::string* jsonl_out,
                                     static_cast<std::size_t>(marker_len));
     c.p += marker_len;
   }
+  Columns& col = *cols_;
   double fault_cycle_s = 0.0;
   std::uint64_t n_faults = 0;
-  struct FaultRow {
-    std::uint8_t kind;
-    double start_s, dur_s, factor;
-  };
-  std::vector<FaultRow> faults;
+  std::vector<FaultRow>& faults = col.faults;
+  faults.clear();
   if (has_faults) {
     fault_cycle_s = c.f64();
     n_faults = c.varint();
@@ -895,43 +926,38 @@ bool BtraceReader::read_session(std::size_t i, std::string* jsonl_out,
     }
   }
 
-  std::vector<std::uint64_t> off_k, sw_k, sw_from, sw_to, st_k, ck_k, ck_rate;
-  std::vector<jsonl::Num> off_start, off_wait, sw_t, st_start, st_dur;
-  std::vector<jsonl::Num> ck_rate_bps, ck_bits, ck_dl, ck_tput, ck_buf,
-      ck_req, ck_fin, ck_pos, ck_played;
-  std::vector<std::uint8_t> st_fault;
-  if (!get_u64_col(c, n_off, &off_k) ||
-      !get_num_col(c, n_off, false, &off_start) ||
-      !get_num_col(c, n_off, false, &off_wait) ||
-      !get_u64_col(c, n_switch, &sw_k) ||
-      !get_num_col(c, n_switch, false, &sw_t) ||
-      !get_u64_col(c, n_switch, &sw_from) ||
-      !get_u64_col(c, n_switch, &sw_to) ||
-      !get_u64_col(c, n_stall, &st_k) ||
-      !get_num_col(c, n_stall, false, &st_start) ||
-      !get_num_col(c, n_stall, false, &st_dur)) {
+  if (!get_u64_col(c, n_off, &col.off_k) ||
+      !get_num_col(c, n_off, false, col.esc, &col.off_start) ||
+      !get_num_col(c, n_off, false, col.esc, &col.off_wait) ||
+      !get_u64_col(c, n_switch, &col.sw_k) ||
+      !get_num_col(c, n_switch, false, col.esc, &col.sw_t) ||
+      !get_u64_col(c, n_switch, &col.sw_from) ||
+      !get_u64_col(c, n_switch, &col.sw_to) ||
+      !get_u64_col(c, n_stall, &col.st_k) ||
+      !get_num_col(c, n_stall, false, col.esc, &col.st_start) ||
+      !get_num_col(c, n_stall, false, col.esc, &col.st_dur)) {
     return corrupt("truncated event columns");
   }
   if (has_faults) {
     const std::size_t n_bytes = (n_stall + 7) / 8;
     if (!c.need(n_bytes)) return corrupt("truncated stall fault bits");
-    st_fault.resize(n_stall);
+    col.st_fault.resize(n_stall);
     for (std::size_t s = 0; s < n_stall; ++s) {
-      st_fault[s] = (c.p[s / 8] >> (s % 8)) & 1u;
+      col.st_fault[s] = (c.p[s / 8] >> (s % 8)) & 1u;
     }
     c.p += n_bytes;
   }
-  if (!get_u64_col(c, n_chunk, &ck_k) ||
-      !get_u64_col(c, n_chunk, &ck_rate) ||
-      !get_num_col(c, n_chunk, false, &ck_rate_bps) ||
-      !get_num_col(c, n_chunk, false, &ck_bits) ||
-      !get_num_col(c, n_chunk, false, &ck_dl) ||
-      !get_num_col(c, n_chunk, false, &ck_tput) ||
-      !get_num_col(c, n_chunk, false, &ck_buf) ||
-      !get_num_col(c, n_chunk, true, &ck_req) ||
-      !get_num_col(c, n_chunk, true, &ck_fin) ||
-      !get_num_col(c, n_chunk, true, &ck_pos) ||
-      !get_num_col(c, n_chunk, true, &ck_played)) {
+  if (!get_u64_col(c, n_chunk, &col.ck_k) ||
+      !get_u64_col(c, n_chunk, &col.ck_rate) ||
+      !get_num_col(c, n_chunk, false, col.esc, &col.ck_rate_bps) ||
+      !get_num_col(c, n_chunk, false, col.esc, &col.ck_bits) ||
+      !get_num_col(c, n_chunk, false, col.esc, &col.ck_dl) ||
+      !get_num_col(c, n_chunk, false, col.esc, &col.ck_tput) ||
+      !get_num_col(c, n_chunk, false, col.esc, &col.ck_buf) ||
+      !get_num_col(c, n_chunk, true, col.esc, &col.ck_req) ||
+      !get_num_col(c, n_chunk, true, col.esc, &col.ck_fin) ||
+      !get_num_col(c, n_chunk, true, col.esc, &col.ck_pos) ||
+      !get_num_col(c, n_chunk, true, col.esc, &col.ck_played)) {
     return corrupt("truncated chunk columns");
   }
   if (c.fail || c.p != c.end) return corrupt("trailing bytes");
@@ -984,33 +1010,33 @@ bool BtraceReader::read_session(std::size_t i, std::string* jsonl_out,
   for (std::uint64_t t = 0; t < n_lines; ++t) {
     switch (tags[t]) {
       case 0:
-        jsonl::append_off_line(o, off_k[oi], off_start[oi], off_wait[oi]);
+        jsonl::append_off_line(o, col.off_k[oi], col.off_start[oi], col.off_wait[oi]);
         ++oi;
         break;
       case 1:
-        jsonl::append_switch_line(o, sw_k[wi], sw_t[wi], sw_from[wi],
-                                  sw_to[wi]);
+        jsonl::append_switch_line(o, col.sw_k[wi], col.sw_t[wi], col.sw_from[wi],
+                                  col.sw_to[wi]);
         ++wi;
         break;
       case 2:
-        jsonl::append_stall_line(o, st_k[si], st_start[si], st_dur[si],
-                                 has_faults ? (st_fault[si] != 0 ? 1 : 0)
+        jsonl::append_stall_line(o, col.st_k[si], col.st_start[si], col.st_dur[si],
+                                 has_faults ? (col.st_fault[si] != 0 ? 1 : 0)
                                             : -1);
         ++si;
         break;
       case 3: {
         jsonl::ChunkLine line;
-        line.k = ck_k[ci];
-        line.rate = ck_rate[ci];
-        line.rate_bps = ck_rate_bps[ci];
-        line.bits = ck_bits[ci];
-        line.req_s = ck_req[ci];
-        line.fin_s = ck_fin[ci];
-        line.dl_s = ck_dl[ci];
-        line.tput_bps = ck_tput[ci];
-        line.buf_s = ck_buf[ci];
-        line.pos_s = ck_pos[ci];
-        line.played_s = ck_played[ci];
+        line.k = col.ck_k[ci];
+        line.rate = col.ck_rate[ci];
+        line.rate_bps = col.ck_rate_bps[ci];
+        line.bits = col.ck_bits[ci];
+        line.req_s = col.ck_req[ci];
+        line.fin_s = col.ck_fin[ci];
+        line.dl_s = col.ck_dl[ci];
+        line.tput_bps = col.ck_tput[ci];
+        line.buf_s = col.ck_buf[ci];
+        line.pos_s = col.ck_pos[ci];
+        line.played_s = col.ck_played[ci];
         jsonl::append_chunk_line(o, line);
         ++ci;
         break;

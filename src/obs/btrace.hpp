@@ -127,7 +127,7 @@ class BinaryTraceCollector final : public TraceCollector {
 /// files, and the cross-check that index and blocks agree).
 class BtraceReader {
  public:
-  BtraceReader() = default;
+  BtraceReader();
   ~BtraceReader();
   BtraceReader(const BtraceReader&) = delete;
   BtraceReader& operator=(const BtraceReader&) = delete;
@@ -175,6 +175,8 @@ class BtraceReader {
   std::vector<BtraceEntry> entries_;
   std::vector<std::string> groups_;
   std::string blockbuf_;  // reused block read buffer
+  struct Columns;
+  std::unique_ptr<Columns> cols_;  // reused decoded columns (read_session)
 };
 
 }  // namespace bba::obs

@@ -381,21 +381,61 @@ void lane_run(Src src, const media::DecisionTable& dt,
   }
 }
 
-// Scalar oracle for ineligible lanes: identical behaviour and obs events
-// to the pre-batch dispatch. Stream-backed lanes materialize the identical
-// trace the lazy generator would have produced.
-void run_fallback(BatchLane& lane, BatchScratch& scratch) {
-  const net::CapacityTrace* trace = lane.trace;
-  if (trace == nullptr) {
-    util::Rng rng = lane.stream_rng;
-    net::make_markov_trace_into(*lane.stream, rng, scratch.trace_scratch.segments);
-    scratch.fallback_trace.assign(scratch.trace_scratch.segments,
-                                  /*loop=*/true);
-    trace = &scratch.fallback_trace;
+// Resolves a stream lane's TraceStream: the scratch's private stream, or
+// the one every lane of its `stream_key` shares in this batch call (reset
+// when the key is first seen).
+net::TraceStream& stream_for(const BatchLane& lane, BatchScratch& scratch) {
+  if (lane.stream_key == 0) {
+    scratch.private_stream.reset(*lane.stream, lane.stream_rng);
+    return scratch.private_stream;
   }
-  simulate_session_into(*lane.video, *trace, *lane.abr, lane.config,
-                        scratch.sink);
-  *lane.out = scratch.sink.metrics();
+  std::size_t idx = scratch.stream_keys.size();
+  for (std::size_t i = 0; i < scratch.stream_keys.size(); ++i) {
+    if (scratch.stream_keys[i] == lane.stream_key) {
+      idx = i;
+      break;
+    }
+  }
+  if (idx == scratch.stream_keys.size()) {
+    scratch.stream_keys.push_back(lane.stream_key);
+    if (scratch.streams.size() < scratch.stream_keys.size()) {
+      scratch.streams.push_back(std::make_unique<net::TraceStream>());
+    }
+    scratch.streams[idx]->reset(*lane.stream, lane.stream_rng);
+  }
+  return *scratch.streams[idx];
+}
+
+// Runs one lane over its trace source: through the fused kernel when the
+// lane is eligible, else through the scalar loop reading the same source
+// (`trace` is the materialized CapacityTrace or the TraceStream that `src`
+// wraps), with identical behaviour and obs events to the pre-batch
+// dispatch.
+template <class Trace, class Src>
+void run_lane(BatchLane& lane, Trace& trace, Src src, BatchScratch& scratch) {
+  abr::BatchDecisionProfile profile;
+  if (!lane.abr->batch_profile(&profile) ||
+      !batch_lane_eligible(profile, lane.config, *lane.video, lane.trace)) {
+    simulate_session_into(*lane.video, trace, *lane.abr, lane.config,
+                          scratch.sink);
+    *lane.out = scratch.sink.metrics();
+    return;
+  }
+  // The scalar player resets the ABR at session start; the kernel never
+  // touches the instance, so reset it here to keep reused instances in
+  // the same state either way.
+  lane.abr->reset();
+  const media::Video& video = *lane.video;
+  const double V = video.chunk_duration_s();
+  const std::size_t window_chunks = static_cast<std::size_t>(
+      std::max(1.0, std::floor(profile.lookahead_s / V)));
+  bool built_now = false;
+  const media::DecisionTable& dt =
+      scratch.tables.get(video, window_chunks, &built_now);
+  const double remaining = V * static_cast<double>(dt.n);
+  const double watch_limit = std::min(lane.config.watch_duration_s, remaining);
+  lane_run(src, dt, profile, lane.config, watch_limit, built_now, scratch,
+           lane.out);
 }
 
 }  // namespace
@@ -435,58 +475,14 @@ void simulate_session_batch(std::span<BatchLane> lanes,
                "batch lane needs exactly one trace source");
     BBA_ASSERT(lane.config.faults == nullptr || lane.trace != nullptr,
                "faulted batch lane needs its materialized, faulted trace");
-    abr::BatchDecisionProfile profile;
-    if (!lane.abr->batch_profile(&profile) ||
-        !batch_lane_eligible(profile, lane.config, *lane.video, lane.trace)) {
-      run_fallback(lane, scratch);
-      continue;
-    }
-    // The scalar player resets the ABR at session start; the kernel never
-    // touches the instance, so reset it here to keep reused instances in
-    // the same state either way.
-    lane.abr->reset();
-    const media::Video& video = *lane.video;
-    const double V = video.chunk_duration_s();
-    const std::size_t window_chunks = static_cast<std::size_t>(
-        std::max(1.0, std::floor(profile.lookahead_s / V)));
-    bool built_now = false;
-    const media::DecisionTable& dt =
-        scratch.tables.get(video, window_chunks, &built_now);
-    const double remaining = V * static_cast<double>(dt.n);
-    const double watch_limit =
-        std::min(lane.config.watch_duration_s, remaining);
-
     if (lane.trace != nullptr) {
       net::FixedSource src;
       src.bind(*lane.trace);
-      lane_run(src, dt, profile, lane.config, watch_limit, built_now,
-               scratch, lane.out);
-      continue;
-    }
-    net::TraceStream* ts;
-    if (lane.stream_key == 0) {
-      ts = &scratch.private_stream;
-      ts->reset(*lane.stream, lane.stream_rng);
+      run_lane(lane, *lane.trace, src, scratch);
     } else {
-      std::size_t idx = scratch.stream_keys.size();
-      for (std::size_t i = 0; i < scratch.stream_keys.size(); ++i) {
-        if (scratch.stream_keys[i] == lane.stream_key) {
-          idx = i;
-          break;
-        }
-      }
-      if (idx == scratch.stream_keys.size()) {
-        scratch.stream_keys.push_back(lane.stream_key);
-        if (scratch.streams.size() < scratch.stream_keys.size()) {
-          scratch.streams.push_back(std::make_unique<net::TraceStream>());
-        }
-        scratch.streams[idx]->reset(*lane.stream, lane.stream_rng);
-      }
-      ts = scratch.streams[idx].get();
+      net::TraceStream& stream = stream_for(lane, scratch);
+      run_lane(lane, stream, net::StreamSource{&stream}, scratch);
     }
-    net::StreamSource src{ts};
-    lane_run(src, dt, profile, lane.config, watch_limit, built_now, scratch,
-             lane.out);
   }
 }
 

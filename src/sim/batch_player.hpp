@@ -10,7 +10,8 @@
 // (net/trace_stream.hpp). Lanes backed by a MarkovTraceConfig generate
 // their trace lazily: only the prefix the session actually consumes is ever
 // produced, and lanes sharing a `stream_key` (common-random-numbers groups
-// replaying one kTrace substream) generate that prefix once.
+// replaying one kTrace substream) generate that prefix once -- kernel and
+// scalar-fallback lanes alike.
 //
 // Contracts (enforced by tests/test_sim_batch.cpp and the hot-path bench):
 //  - SessionMetrics bytes identical to the scalar pipeline for every lane;
@@ -19,7 +20,10 @@
 //  - zero steady-state heap allocation per session;
 //  - lanes the kernel cannot express (TCP model, seeks, give-up timers,
 //    non-looping traces, ABRs without a BatchDecisionProfile)
-//    transparently fall back to the scalar oracle inside the batch call.
+//    transparently fall back to the scalar loop inside the batch call,
+//    reading the lane's own trace source: a stream lane's scalar session
+//    reads the shared TraceStream (sim/session_loop.hpp), never a
+//    materialized copy.
 //    Injected faults (PlayerConfig::faults) are a branch of the kernel:
 //    each stall is attributed at close, exactly as the scalar player does.
 #pragma once
@@ -45,9 +49,11 @@ namespace bba::sim {
 /// One session of a batch. Exactly one trace source must be set: `trace`
 /// (materialized, must loop) or `stream` (lazy Markov generation from
 /// `stream_rng`). A lane with `config.faults` set must use `trace`: the
-/// faults were injected into it. `abr` provides the decision profile -- and drives the
-/// scalar fallback when the lane is ineligible, so it must be a valid
-/// single-session instance either way.
+/// faults were injected into it. So must a lane with `config.tcp` set or
+/// `config.use_trace_cursor` off: those read a CapacityTrace. `abr`
+/// provides the decision profile -- and drives the scalar fallback when the
+/// lane is ineligible, so it must be a valid single-session instance
+/// either way.
 struct BatchLane {
   const media::Video* video = nullptr;
   abr::RateAdaptation* abr = nullptr;
@@ -72,7 +78,7 @@ struct BatchPendingChunk {
 
 /// Per-thread (per executor slot) scratch. All steady-state storage lives
 /// here: the decision-table cache, the trace streams, the pending ring,
-/// and the scalar-fallback trace/sink. Reuse across batches is what makes
+/// and the scalar-fallback sink. Reuse across batches is what makes
 /// steady-state sessions allocation-free.
 struct BatchScratch {
   media::DecisionTableCache tables;
@@ -84,8 +90,6 @@ struct BatchScratch {
   std::vector<BatchPendingChunk> ring;
   std::size_t ring_mask = 0;
 
-  net::TraceScratch trace_scratch;
-  net::CapacityTrace fallback_trace = net::CapacityTrace::constant(1.0);
   StreamingMetricsSink sink;
 };
 

@@ -1,4 +1,5 @@
-// The scalar session loop, compiled against the concrete sink it feeds.
+// The scalar session loop, compiled against the concrete sink it feeds and
+// the trace reader it downloads through.
 //
 // simulate_session (sim/player.hpp) takes its sink through the virtual
 // SessionSink base. Hot callers that know their sink's type -- the A/B
@@ -8,6 +9,13 @@
 // call the compiler can inline. There is one copy of the loop;
 // simulate_session is its instantiation on SessionSink, so every sink type
 // sees the identical event sequence, obs registry events and results.
+//
+// The loop reads capacity through one of two readers. CapacityTraceReader
+// reads a materialized CapacityTrace (TraceCursor, the TCP model, or the
+// trace's own binary search). TraceStreamReader reads a lazily generated
+// net::TraceStream through net::LaneCursor, the batched kernel's trace
+// layer: bit-identical finish times and cursor tallies on the same trace,
+// while only the prefix the session reaches is ever generated.
 #pragma once
 
 #include <algorithm>
@@ -15,6 +23,7 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <vector>
 
 #include "abr/abr.hpp"
 #include "media/video.hpp"
@@ -22,6 +31,7 @@
 #include "net/fault_inject.hpp"
 #include "net/tcp_model.hpp"
 #include "net/trace_cursor.hpp"
+#include "net/trace_stream.hpp"
 #include "obs/metrics.hpp"
 #include "sim/player.hpp"
 #include "sim/session_sink.hpp"
@@ -29,13 +39,85 @@
 
 namespace bba::sim {
 
-/// simulate_session with the sink's static type kept: `Sink` is
-/// SessionSink or one of its subclasses.
-template <class Sink>
-void simulate_session_into(const media::Video& video,
-                           const net::CapacityTrace& trace,
-                           abr::RateAdaptation& abr,
-                           const PlayerConfig& config, Sink& sink) {
+namespace detail {
+
+/// Downloads over a materialized CapacityTrace: through the incremental
+/// TraceCursor, or the trace's own binary search with use_trace_cursor off,
+/// and through the TCP model when the config carries one.
+class CapacityTraceReader {
+ public:
+  CapacityTraceReader(const net::CapacityTrace& trace,
+                      const PlayerConfig& config)
+      : trace_(trace),
+        cursor_(trace),
+        tcp_(config.tcp ? std::optional<net::TcpDownloadModel>(*config.tcp)
+                        : std::nullopt),
+        use_cursor_(config.use_trace_cursor) {}
+
+  double finish_time_s(double start_s, double bits, double idle_s) {
+    return use_cursor_
+               ? (tcp_ ? tcp_->finish_time_s(cursor_, start_s, bits, idle_s)
+                       : cursor_.finish_time_s(start_s, bits))
+               : (tcp_ ? tcp_->finish_time_s(trace_, start_s, bits, idle_s)
+                       : trace_.finish_time_s(start_s, bits));
+  }
+
+  /// Did [t0, t1] overlap an injected fault window in any cycle?
+  bool fault_overlaps(const std::vector<net::InjectedFault>& faults,
+                      double t0, double t1) const {
+    return net::fault_overlaps(faults, trace_.cycle_duration_s(),
+                               trace_.loops(), t0, t1);
+  }
+
+  std::uint64_t queries() const { return cursor_.queries(); }
+  std::uint64_t rewinds() const { return cursor_.rewinds(); }
+
+ private:
+  const net::CapacityTrace& trace_;
+  net::TraceCursor cursor_;
+  const std::optional<net::TcpDownloadModel> tcp_;
+  const bool use_cursor_;
+};
+
+/// Downloads over a lazily generated TraceStream through net::LaneCursor.
+/// Several sessions may share one stream: each generates only as far as
+/// its own downloads reach. Faults are injected into a materialized trace,
+/// and the TCP model and the cursor-less path read one, so the config must
+/// use none of them.
+class TraceStreamReader {
+ public:
+  TraceStreamReader(net::TraceStream& stream, const PlayerConfig& config)
+      : src_{&stream} {
+    BBA_ASSERT(config.faults == nullptr && !config.tcp &&
+                   config.use_trace_cursor,
+               "a streamed trace takes no faults, no TCP model and needs "
+               "the trace cursor");
+  }
+
+  double finish_time_s(double start_s, double bits, double /*idle_s*/) {
+    return cursor_.finish_time_s(src_, start_s, bits);
+  }
+
+  /// Never called: the config carries no faults.
+  bool fault_overlaps(const std::vector<net::InjectedFault>&, double,
+                      double) const {
+    return false;
+  }
+
+  std::uint64_t queries() const { return cursor_.queries; }
+  std::uint64_t rewinds() const { return cursor_.rewinds; }
+
+ private:
+  net::StreamSource src_;
+  net::LaneCursor cursor_;
+};
+
+/// The one session loop: `Reader` (constructed from `trace` and the
+/// config) answers every download, `Sink` receives every event.
+template <class Reader, class Trace, class Sink>
+void session_loop(const media::Video& video, Trace& trace,
+                  abr::RateAdaptation& abr, const PlayerConfig& config,
+                  Sink& sink) {
   BBA_ASSERT(config.buffer_capacity_s >= video.chunk_duration_s(),
              "buffer must hold at least one chunk");
   BBA_ASSERT(config.play_threshold_s > 0.0 && config.resume_threshold_s > 0.0,
@@ -59,7 +141,7 @@ void simulate_session_into(const media::Video& video,
   // Session time is (nearly) monotone, so all trace integration runs
   // through one incremental cursor: O(1) amortized per query instead of a
   // binary search each time.
-  net::TraceCursor cursor(trace);
+  Reader reader(trace, config);
 
   // Per-chunk obs counters batch in locals (plain adds) and flush once at
   // session end -- per-chunk thread-local touches are too expensive here.
@@ -77,17 +159,13 @@ void simulate_session_into(const media::Video& video,
   double last_dl = 0.0;
   double prev_finish_s = -1.0;  // end of the previous download (TCP idle)
   std::size_t prev_rate = 0;
-  const std::optional<net::TcpDownloadModel> tcp =
-      config.tcp ? std::optional<net::TcpDownloadModel>(*config.tcp)
-                 : std::nullopt;
 
   // Attribution: did the stall interval overlap an injected fault window?
   // Only evaluated when faults are attached, so fault-free sessions pay
   // nothing.
   auto stall_during_fault = [&](double t0, double t1) {
     return config.faults != nullptr &&
-           net::fault_overlaps(*config.faults, trace.cycle_duration_s(),
-                               trace.loops(), t0, t1);
+           reader.fault_overlaps(*config.faults, t0, t1);
   };
 
   auto close_stall = [&](double resume_t) {
@@ -144,12 +222,7 @@ void simulate_session_into(const media::Video& video,
     const double idle_s = prev_finish_s < 0.0
                               ? std::numeric_limits<double>::infinity()
                               : req_t - prev_finish_s;
-    const double finish =
-        config.use_trace_cursor
-            ? (tcp ? tcp->finish_time_s(cursor, t, size, idle_s)
-                   : cursor.finish_time_s(t, size))
-            : (tcp ? tcp->finish_time_s(trace, t, size, idle_s)
-                   : trace.finish_time_s(t, size));
+    const double finish = reader.finish_time_s(t, size, idle_s);
     if (!std::isfinite(finish)) {
       // The link is dead for the rest of time: play out and abandon.
       if (playing) {
@@ -197,8 +270,8 @@ void simulate_session_into(const media::Video& video,
           obs::count(obs::Counter::kChunksDownloaded, obs_chunks);
           obs::count(obs::Counter::kOffPeriods, obs_offs);
           obs::count(obs::Counter::kRateSwitches, obs_switches);
-          obs::count(obs::Counter::kCursorQueries, cursor.queries());
-          obs::count(obs::Counter::kCursorRewinds, cursor.rewinds());
+          obs::count(obs::Counter::kCursorQueries, reader.queries());
+          obs::count(obs::Counter::kCursorRewinds, reader.rewinds());
           sink.on_session_end(sum);
           return;
         }
@@ -268,9 +341,34 @@ void simulate_session_into(const media::Video& video,
   obs::count(obs::Counter::kChunksDownloaded, obs_chunks);
   obs::count(obs::Counter::kOffPeriods, obs_offs);
   obs::count(obs::Counter::kRateSwitches, obs_switches);
-  obs::count(obs::Counter::kCursorQueries, cursor.queries());
-  obs::count(obs::Counter::kCursorRewinds, cursor.rewinds());
+  obs::count(obs::Counter::kCursorQueries, reader.queries());
+  obs::count(obs::Counter::kCursorRewinds, reader.rewinds());
   sink.on_session_end(sum);
+}
+
+}  // namespace detail
+
+/// simulate_session with the sink's static type kept: `Sink` is
+/// SessionSink or one of its subclasses.
+template <class Sink>
+void simulate_session_into(const media::Video& video,
+                           const net::CapacityTrace& trace,
+                           abr::RateAdaptation& abr,
+                           const PlayerConfig& config, Sink& sink) {
+  detail::session_loop<detail::CapacityTraceReader>(video, trace, abr, config,
+                                                    sink);
+}
+
+/// The same session over a lazily generated trace: bit-identical results
+/// and registry events to running it over the materialized trace the
+/// stream would produce (a looping Markov trace without outages).
+template <class Sink>
+void simulate_session_into(const media::Video& video,
+                           net::TraceStream& stream,
+                           abr::RateAdaptation& abr,
+                           const PlayerConfig& config, Sink& sink) {
+  detail::session_loop<detail::TraceStreamReader>(video, stream, abr, config,
+                                                  sink);
 }
 
 }  // namespace bba::sim

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <vector>
 
 #include "net/capacity_trace.hpp"
@@ -309,6 +310,53 @@ TEST(Estimators, HarmonicMeanRecoversAfterOutageSamplesAgeOut) {
   h.add_sample(100.0, 1.0);
   h.add_sample(100.0, 1.0);  // window is now all post-outage samples
   EXPECT_DOUBLE_EQ(h.estimate_bps(), 100.0);
+}
+
+TEST(Estimators, WindowedMeansMatchModuloReference) {
+  // The windowed estimators sum their samples oldest-first as two
+  // contiguous runs of the ring. The reference keeps its own ring, indexed
+  // with a modulo, and sums in the same order: the estimates must be the
+  // same bits after every sample, across many wraps and a mid-stream reset.
+  util::Rng rng(1401);
+  for (std::size_t window = 1; window <= 8; ++window) {
+    SlidingMeanEstimator mean(window);
+    HarmonicMeanEstimator harmonic(window);
+    std::vector<double> ring(window);
+    std::size_t head = 0, count = 0;
+    for (int i = 0; i < 400; ++i) {
+      if (i == 157) {
+        mean.reset();
+        harmonic.reset();
+        head = count = 0;
+      }
+      // Zero samples (outage chunks) exercise the harmonic floor.
+      const double v = rng.uniform() < 0.1 ? 0.0 : rng.uniform(1e4, 1e7);
+      mean.add_sample(v, 1.0);
+      harmonic.add_sample(v, 1.0);
+      if (count < window) {
+        ring[(head + count) % window] = v;
+        ++count;
+      } else {
+        ring[head] = v;
+        head = (head + 1) % window;
+      }
+      double sum = 0.0, sum_inv = 0.0;
+      for (std::size_t k = 0; k < count; ++k) {
+        const double s = ring[(head + k) % window];
+        sum += s;
+        sum_inv += 1.0 / std::max(s, kMinHarmonicSampleBps);
+      }
+      const double want_mean = sum / static_cast<double>(count);
+      const double want_harmonic = static_cast<double>(count) / sum_inv;
+      const double got_mean = mean.estimate_bps();
+      const double got_harmonic = harmonic.estimate_bps();
+      ASSERT_EQ(std::memcmp(&got_mean, &want_mean, sizeof(double)), 0)
+          << "window " << window << " sample " << i;
+      ASSERT_EQ(std::memcmp(&got_harmonic, &want_harmonic, sizeof(double)),
+                0)
+          << "window " << window << " sample " << i;
+    }
+  }
 }
 
 TEST(Estimators, NamesAreStable) {

@@ -365,9 +365,12 @@ struct ObservedRun {
   std::string checkpoint;
 };
 
-ObservedRun faulted_obs_run(const std::string& format, std::size_t threads) {
-  const std::string tag = format + std::to_string(threads);
+ObservedRun faulted_obs_run(const std::string& format, std::size_t threads,
+                            const std::string& alert_spec = "") {
+  const std::string tag =
+      format + std::to_string(threads) + (alert_spec.empty() ? "" : "_alert");
   obs::ObsOptions opts;
+  opts.alert_spec = alert_spec;
   opts.trace_out = temp_path(("golden_" + tag).c_str(), ".trace");
   opts.trace_format = format;
   opts.trace_sample = 4;
@@ -418,6 +421,47 @@ TEST(BtraceGolden, FaultedObservedRunBytesArePinned) {
     EXPECT_EQ(fnv1a64(b.checkpoint), kCheckpoint)
         << std::hex << fnv1a64(b.checkpoint);
   }
+}
+
+TEST(BtraceReader, ReusedReaderDecodesLikeAFreshOne) {
+  // read_session keeps its decoded columns between calls. One reader
+  // decoding every session twice, in two passes, must produce exactly the
+  // bytes and counts of a fresh reader per session: nothing of an earlier,
+  // longer or fault-carrying session may leak into a later one.
+  // A hair-trigger monitor, so that alerts fire and capture sessions.
+  const ObservedRun b =
+      faulted_obs_run("btrace", 1, "warmup=2,ewma_k=0.5,cusum_h=0.5");
+  obs::BtraceReader reused;
+  std::string error;
+  ASSERT_TRUE(reused.open(b.trace_path, &error)) << error;
+  ASSERT_GT(reused.session_count(), 1u);
+  std::size_t with_faults = 0, with_alert = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t i = 0; i < reused.session_count(); ++i) {
+      SCOPED_TRACE(i);
+      obs::BtraceReader fresh;
+      ASSERT_TRUE(fresh.open(b.trace_path, &error)) << error;
+      std::string want, got;
+      obs::BtraceReader::SessionCounts want_n, got_n;
+      ASSERT_TRUE(fresh.read_session(i, &want, &want_n, &error)) << error;
+      ASSERT_TRUE(reused.read_session(i, &got, &got_n, &error)) << error;
+      EXPECT_EQ(got, want);
+      EXPECT_EQ(got_n.chunks, want_n.chunks);
+      EXPECT_EQ(got_n.stalls, want_n.stalls);
+      EXPECT_EQ(got_n.offs, want_n.offs);
+      EXPECT_EQ(got_n.switches, want_n.switches);
+      EXPECT_EQ(got_n.faults, want_n.faults);
+      if (pass == 0) {
+        with_faults += want_n.faults > 0 ? 1 : 0;
+        with_alert +=
+            want.find("{\"ev\":\"alert\"") != std::string::npos ? 1 : 0;
+      }
+    }
+  }
+  // The file holds what the columns must be cleared of: fault tables and
+  // alert-captured sessions.
+  EXPECT_GT(with_faults, 0u);
+  EXPECT_GT(with_alert, 0u);
 }
 
 // --- Footer index ---------------------------------------------------------

@@ -10,9 +10,13 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "abr/baselines.hpp"
+#include "abr/bola.hpp"
+#include "abr/related_work.hpp"
 #include "core/bba1.hpp"
 #include "core/bba2.hpp"
 #include "exp/abtest.hpp"
@@ -21,6 +25,7 @@
 #include "exp/workload.hpp"
 #include "media/video.hpp"
 #include "net/capacity_trace.hpp"
+#include "net/estimators.hpp"
 #include "net/fault_inject.hpp"
 #include "net/trace_gen.hpp"
 #include "obs/metrics.hpp"
@@ -538,6 +543,150 @@ TEST(SimBatch, EligibilityRejectsUnsupportedConfigs) {
   abr::BatchDecisionProfile no_memo = profile;
   no_memo.cache_window_sums = false;
   EXPECT_FALSE(sim::batch_lane_eligible(no_memo, base, video, trace));
+}
+
+// --- Scalar lanes on the shared stream --------------------------------------
+
+// One instance of each of the ten ABRs bba_abtest knows, with its factories.
+std::vector<std::unique_ptr<abr::RateAdaptation>> ten_abrs() {
+  std::vector<std::unique_ptr<abr::RateAdaptation>> v;
+  v.push_back(exp::make_control_factory()());
+  v.push_back(std::make_unique<abr::ThroughputAbr>(
+      std::make_unique<net::EwmaEstimator>(0.3)));
+  v.push_back(std::make_unique<abr::PidAbr>());
+  v.push_back(std::make_unique<abr::ElasticAbr>());
+  v.push_back(std::make_unique<abr::BolaAbr>());
+  v.push_back(exp::make_rmin_factory()());
+  v.push_back(exp::make_bba0_factory()());
+  v.push_back(exp::make_bba1_factory()());
+  v.push_back(exp::make_bba2_factory()());
+  v.push_back(exp::make_bba_others_factory()());
+  return v;
+}
+
+struct SideRun {
+  std::vector<sim::SessionMetrics> out;  ///< [key * 10 + abr]
+  obs::MetricsSnapshot snapshot;
+  std::vector<std::size_t> segments;  ///< per key: committed or full
+  std::vector<bool> stream_done;      ///< per key, streamed side only
+};
+
+// Runs the ten ABRs over `n_keys` outage-free keys, one batch call per key
+// as the harness makes it: every lane of a key reads one shared stream, or
+// every lane reads the key's materialized trace. `duration_s` > 0
+// overrides the Markov trace length. Each side gets its own library and
+// registry, so memo accounting starts equally cold.
+SideRun run_ten_abrs(bool streamed, bool reversed, double duration_s,
+                     const sim::PlayerConfig& player, std::size_t n_keys) {
+  constexpr std::size_t kAbrs = 10;
+  const exp::Population population{exp::PopulationConfig{}};
+  const media::VideoLibrary library = media::VideoLibrary::standard(11);
+  const exp::WorkloadConfig workload;
+  std::vector<std::unique_ptr<abr::RateAdaptation>> abrs = ten_abrs();
+  SideRun run;
+  run.out.assign(n_keys * kAbrs, sim::SessionMetrics{});
+  obs::MetricsRegistry registry(1);
+  {
+    obs::SlotBinding bind(&registry, 0);
+    sim::BatchScratch scratch;
+    net::TraceScratch trace_scratch;
+    net::CapacityTrace trace = net::CapacityTrace::constant(1.0);
+    std::vector<sim::BatchLane> lanes(kAbrs);
+    for (std::size_t i = 0; i < n_keys; ++i) {
+      const exp::SessionKey key{2014, 0, i % exp::kWindowsPerDay,
+                                i / exp::kWindowsPerDay};
+      exp::UserEnvironment env = population.environment_for(key);
+      env.has_outages = false;
+      if (duration_s > 0.0) env.trace.duration_s = duration_s;
+      const exp::SessionSpec spec = exp::session_for(library, workload, key);
+      if (!streamed) {
+        util::Rng rng = exp::session_rng(key, exp::StreamClass::kTrace);
+        population.make_trace_into(env, rng, trace_scratch, trace);
+      }
+      for (std::size_t j = 0; j < kAbrs; ++j) {
+        const std::size_t g = reversed ? kAbrs - 1 - j : j;
+        sim::BatchLane& lane = lanes[j];
+        lane = sim::BatchLane{};
+        lane.video = &library.at(spec.video_index);
+        lane.abr = abrs[g].get();
+        lane.config = player;
+        lane.config.watch_duration_s = spec.watch_duration_s;
+        lane.out = &run.out[i * kAbrs + g];
+        if (streamed) {
+          lane.stream = &env.trace;
+          lane.stream_rng = exp::session_rng(key, exp::StreamClass::kTrace);
+          lane.stream_key = 1;
+        } else {
+          lane.trace = &trace;
+        }
+      }
+      sim::simulate_session_batch(lanes, scratch);
+      if (streamed) {
+        run.segments.push_back(scratch.streams[0]->num_segments());
+        run.stream_done.push_back(scratch.streams[0]->done);
+      } else {
+        run.segments.push_back(trace.segments().size());
+      }
+    }
+  }
+  run.snapshot = registry.snapshot();
+  return run;
+}
+
+TEST(SimBatch, ScalarLanesOnStreamMatchMaterialized) {
+  // The scalar loop reads a shared TraceStream through LaneCursor exactly
+  // as it reads the materialized trace through TraceCursor: same metrics
+  // bits, same registry events (cursor queries and rewinds, memo hits,
+  // chunks, switches), whatever the order the lanes pull the stream in.
+  // The default player runs the eight scalar ABRs on the stream and
+  // BBA-1/2 in the kernel; a give-up timer, which the kernel refuses,
+  // puts all ten on the scalar loop.
+  sim::PlayerConfig give_up;
+  give_up.give_up_stall_s = 60.0;
+  constexpr std::size_t kKeys = 24;
+  // 0 keeps the population's 7200 s traces; 240 s is shorter than most
+  // sessions, which then wrap the cycle and generate the whole stream.
+  for (const double duration_s : {0.0, 240.0}) {
+    for (const sim::PlayerConfig& player : {sim::PlayerConfig{}, give_up}) {
+      const SideRun want =
+          run_ten_abrs(false, false, duration_s, player, kKeys);
+      for (const bool reversed : {false, true}) {
+        SCOPED_TRACE(testing::Message()
+                     << "duration " << duration_s << " give_up "
+                     << player.give_up_stall_s << " reversed " << reversed);
+        const SideRun got =
+            run_ten_abrs(true, reversed, duration_s, player, kKeys);
+        for (std::size_t i = 0; i < want.out.size(); ++i) {
+          expect_identical(got.out[i], want.out[i], i);
+        }
+        expect_snapshots_equal(got.snapshot, want.snapshot);
+        const auto counter = [&](obs::Counter c) {
+          return got.snapshot.counters[static_cast<std::size_t>(c)];
+        };
+        EXPECT_EQ(counter(obs::Counter::kSessions), kKeys * 10);
+        EXPECT_GT(counter(obs::Counter::kReservoirMemoHits), 0u);
+        std::size_t done = 0;
+        for (std::size_t k = 0; k < kKeys; ++k) {
+          done += got.stream_done[k] ? 1 : 0;
+          if (duration_s == 0.0) {
+            // Laziness: a standard key commits only the prefix its
+            // furthest session reached.
+            EXPECT_LT(got.segments[k], want.segments[k]) << "key " << k;
+          } else if (got.stream_done[k]) {
+            EXPECT_EQ(got.segments[k], want.segments[k]) << "key " << k;
+          }
+        }
+        if (duration_s == 0.0) {
+          EXPECT_EQ(done, 0u);
+        } else {
+          // Sessions wrapped the short cycle: the streams ran to the end
+          // and the wrap path's seeks rewound.
+          EXPECT_GT(done, kKeys / 2);
+          EXPECT_GT(counter(obs::Counter::kCursorRewinds), 0u);
+        }
+      }
+    }
+  }
 }
 
 // --- Harness-level differentials ------------------------------------------
