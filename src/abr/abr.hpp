@@ -53,13 +53,13 @@ struct Observation {
 };
 
 /// A flattened, plain-data description of a BBA decision policy, consumed
-/// by the batched session kernel (sim/batch_player.hpp). The kernel inlines
-/// the whole per-chunk decision -- reservoir, chunk map, hysteresis
-/// barriers, BBA-2's startup ramp -- so it cannot call through the virtual
-/// choose_rate() interface; instead an algorithm that is exactly one of the
-/// kernel-supported policies exports its configuration here and the kernel
-/// reproduces its decisions bit for bit (enforced by tests/test_sim_batch).
-/// Plain fields only: abr must not depend on core.
+/// by batched sessions' table decision (sim/batch_player.cpp). The session
+/// loop inlines that decision -- reservoir, chunk map, hysteresis
+/// barriers, BBA-2's startup ramp -- instead of calling through the
+/// virtual choose_rate() interface; an algorithm that is exactly one of
+/// the supported policies exports its configuration here and the table
+/// decision reproduces its decisions bit for bit (enforced by
+/// tests/test_sim_batch). Plain fields only: abr must not depend on core.
 struct BatchDecisionProfile {
   /// True: BBA-2 (startup ramp active from chunk 0, outage accrual gated
   /// on startup exit). False: BBA-1 (steady-state algorithm throughout).
@@ -103,7 +103,7 @@ class RateAdaptation {
   /// Fills `out` with an exact plain-data description of this algorithm's
   /// decision policy and returns true, or returns false when no such
   /// description exists (the default). Overriders must guarantee the
-  /// batched kernel driven by `out` chooses the identical rate sequence as
+  /// table decision driven by `out` chooses the identical rate sequence as
   /// choose_rate() on every input -- which is why core::Bba1/Bba2 only
   /// answer for their exact dynamic type, never for derived classes.
   virtual bool batch_profile(BatchDecisionProfile* out) const {

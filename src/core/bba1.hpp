@@ -54,9 +54,9 @@ class Bba1 : public abr::RateAdaptation {
   void reset() override;
   std::string name() const override { return "bba1"; }
 
-  /// Exports the config for the batched kernel -- only when the dynamic
-  /// type is exactly Bba1 (a derived class may override decisions the
-  /// kernel knows nothing about).
+  /// Exports the config for the batch's table decision -- only when the
+  /// dynamic type is exactly Bba1 (a derived class may override decisions
+  /// the table knows nothing about).
   bool batch_profile(abr::BatchDecisionProfile* out) const override;
 
   /// Effective reservoir currently in force (dynamic + outage protection,

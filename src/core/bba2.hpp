@@ -43,7 +43,8 @@ class Bba2 : public Bba1 {
   double startup_threshold_s(double buffer_s, double buffer_max_s,
                              double chunk_duration_s) const;
 
-  /// Exports the config for the batched kernel -- exact dynamic type only.
+  /// Exports the config for the batch's table decision -- exact dynamic
+  /// type only.
   bool batch_profile(abr::BatchDecisionProfile* out) const override;
 
  private:

@@ -6,7 +6,11 @@
 // group. We use common random numbers -- user i in every group sees the
 // identical environment, title, and watch duration -- which estimates the
 // same per-window expectations as the paper's randomized groups, with far
-// less variance at simulation scale.
+// less variance at simulation scale. Each key's group sessions run as one
+// batch call (sim/batch_player.hpp) through the one session loop: BBA-1
+// and BBA-2 decide from a decision table, every other group through its
+// own ABR, and outage-free, unfaulted keys share one lazily generated
+// trace.
 #pragma once
 
 #include <functional>
@@ -85,17 +89,6 @@ struct AbTestConfig {
   PopulationConfig population;
   WorkloadConfig workload;
   sim::PlayerConfig player;
-
-  /// Run each key's group sessions through the batched SoA kernel
-  /// (sim/batch_player.hpp) when they qualify: outage-free sessions stream
-  /// their capacity trace lazily (generated once per key, shared by every
-  /// group) and skip trace materialization entirely. Bit-identical to the
-  /// scalar path -- metrics, obs registry, and trace-file bytes -- at every
-  /// thread count; the flag exists so benchmarks and CI can diff the two
-  /// paths (tools/abtest_cli --no-batch). Faulted sessions run through the
-  /// kernel on their materialized trace; lanes the kernel cannot express
-  /// fall back to the scalar player either way.
-  bool batch_sessions = true;
 };
 
 /// Full experiment output: cells[group][day][window].

@@ -14,7 +14,6 @@
 #include "runtime/session_executor.hpp"
 #include "sim/batch_player.hpp"
 #include "sim/player.hpp"
-#include "sim/session_loop.hpp"
 #include "sim/session_sink.hpp"
 #include "util/assert.hpp"
 
@@ -37,9 +36,9 @@ struct SessionBlockRunner::Impl {
     // whatever format the run selected -- JSONL lines or btrace blocks.
     std::unique_ptr<obs::SessionTraceSink> trace_sink;
     std::vector<std::unique_ptr<abr::RateAdaptation>> abrs;
-    // Batched-kernel state: lanes for one key's group set, the kernel's
-    // scratch (decision tables, lazy trace streams, pending ring), and the
-    // per-session instances of groups that opt out of reuse.
+    // Batch state: lanes for one key's group set, the batch scratch
+    // (decision tables, lazy trace streams), and the per-session instances
+    // of groups that opt out of reuse.
     sim::BatchScratch batch;
     std::vector<sim::BatchLane> lanes;
     std::vector<std::unique_ptr<abr::RateAdaptation>> fresh_abrs;
@@ -74,10 +73,7 @@ struct SessionBlockRunner::Impl {
   void run(std::span<const SessionKey> keys, const Fold& fold);
   void capture_session(const SessionKey& key, std::size_t group,
                        const std::string& alert_line);
-  void run_batched_key(std::size_t task, std::size_t slot,
-                       const SessionKey& key, const UserEnvironment& env,
-                       const media::Video& video,
-                       const sim::PlayerConfig& player, bool traced);
+  void run_key(std::size_t task, std::size_t slot, const SessionKey& key);
 
   std::vector<Group> groups;
   const media::VideoLibrary& library;
@@ -104,97 +100,7 @@ void SessionBlockRunner::Impl::run(std::span<const SessionKey> keys,
       n_keys,
       [&](std::size_t task, std::size_t slot) {
         obs::SlotBinding metrics_binding(registry, slot);
-        // Common random numbers: every stream is a pure function of
-        // (seed, day, window, session) and shared by all groups.
-        const SessionKey& key = keys[task];
-        const UserEnvironment env = population.environment_for(key);
-        SessionScratch& s = scratch[slot];
-        const SessionSpec spec = session_for(library, cfg.workload, key);
-        const media::Video& video = library.at(spec.video_index);
-
-        sim::PlayerConfig player = cfg.player;
-        player.watch_duration_s = spec.watch_duration_s;
-
-        // One sampling decision per key, shared by every group: the
-        // control and treatment timelines of a sampled session land
-        // side by side in the trace, which is what makes the A/B
-        // comparison of a single environment readable.
-        const bool traced =
-            tracer != nullptr &&
-            tracer->sampled(key.seed, key.day, key.window, key.session);
-
-        if (cfg.batch_sessions) {
-          run_batched_key(task, slot, key, env, video, player, traced);
-          return;
-        }
-
-        // Fault injection rides the dedicated kFaults substream: with an
-        // empty plan this is a no-op and nothing downstream changes byte
-        // for byte.
-        const bool faulted = population.has_faults();
-        population.trace_for_into(env, key, s.trace_scratch, s.trace);
-        if (faulted) {
-          population.inject_faults(key, s.fault_scratch, s.trace);
-          player.faults = &s.fault_scratch.events;
-        }
-
-        for (std::size_t g = 0; g < n_groups; ++g) {
-          std::unique_ptr<abr::RateAdaptation> fresh;
-          abr::RateAdaptation* algorithm;
-          if (groups[g].reuse_instances) {
-            if (s.abrs[g] == nullptr) s.abrs[g] = groups[g].factory();
-            algorithm = s.abrs[g].get();
-          } else {
-            fresh = groups[g].factory();
-            algorithm = fresh.get();
-          }
-          BBA_ASSERT(algorithm != nullptr, "group factory returned null");
-          // Unsampled sessions run at full speed with the plain sink; the
-          // anomaly trigger is evaluated post hoc on the finished metrics
-          // (the exact predicate the trace sink applies to its own event
-          // stream). simulate_session is a pure function of its inputs --
-          // it resets the ABR on entry -- so the rare session that needs
-          // capturing is simply re-simulated with the tee attached,
-          // reproducing the identical timeline. Tracing therefore costs
-          // the unsampled, healthy majority nothing per event.
-          bool need_tee = traced;
-          bool replay = false;
-          if (tracer != nullptr && !need_tee) {
-            sim::simulate_session_into(video, s.trace, *algorithm, player,
-                                       s.sink);
-            const sim::SessionMetrics& m = s.sink.metrics();
-            const obs::TraceConfig& tc = tracer->config();
-            need_tee = tc.anomalies_enabled() &&
-                       (m.rebuffer_s >= tc.anomaly_rebuffer_s ||
-                        (tc.capture_abandoned && m.abandoned));
-            replay = need_tee;
-          }
-          if (tracer != nullptr && need_tee) {
-            // A replay mutes the metrics registry so the re-simulated
-            // session is not double-counted.
-            obs::SlotBinding mute(replay ? nullptr : registry, slot);
-            if (s.trace_sink == nullptr) s.trace_sink = tracer->make_sink();
-            s.trace_sink->begin(tracer->config(), key.seed, key.day,
-                                key.window, key.session, groups[g].name,
-                                traced);
-            if (faulted) {
-              s.trace_sink->set_faults(&s.fault_scratch.events,
-                                       s.trace.cycle_duration_s(),
-                                       s.trace.loops());
-            }
-            sim::TeeSink tee(s.sink, *s.trace_sink);
-            sim::simulate_session(video, s.trace, *algorithm, player, tee);
-            KeyTrace& kt = key_trace[task];
-            if (s.trace_sink->finish(&kt.lines)) {
-              ++kt.emitted;
-              if (s.trace_sink->anomalous()) ++kt.anomalies;
-            }
-          } else if (tracer == nullptr) {
-            sim::simulate_session_into(video, s.trace, *algorithm, player,
-                                       s.sink);
-          }
-          metrics[task * n_groups + g] = s.sink.metrics();
-        }
+        run_key(task, slot, keys[task]);
       },
       [&](std::size_t task) {
         for (std::size_t g = 0; g < n_groups; ++g) {
@@ -219,9 +125,9 @@ void SessionBlockRunner::Impl::capture_session(const SessionKey& key,
                                                const std::string& alert_line) {
   if (tracer == nullptr) return;
   BBA_ASSERT(group < groups.size(), "capture_session group out of range");
-  // Same derivation as the scalar path in run(): the replay is a pure
-  // function of the key, so the captured timeline is the exact session the
-  // monitor's cell aggregates saw. Runs on the calling thread (slot 0),
+  // Same derivation as run_key(): the replay is a pure function of the
+  // key, so the captured timeline is the exact session the monitor's cell
+  // aggregates saw. Runs on the calling thread (slot 0),
   // with no workers active, so touching the scratch is safe.
   SessionScratch& s = scratch[0];
   const UserEnvironment env = population.environment_for(key);
@@ -270,17 +176,31 @@ void SessionBlockRunner::Impl::capture_session(const SessionKey& key,
   }
 }
 
-void SessionBlockRunner::Impl::run_batched_key(
-    std::size_t task, std::size_t slot, const SessionKey& key,
-    const UserEnvironment& env, const media::Video& video,
-    const sim::PlayerConfig& player, bool traced) {
+// Runs every group's session of one key as one batch call.
+void SessionBlockRunner::Impl::run_key(std::size_t task, std::size_t slot,
+                                       const SessionKey& key) {
+  // Common random numbers: every stream is a pure function of
+  // (seed, day, window, session) and shared by all groups.
+  const UserEnvironment env = population.environment_for(key);
+  const SessionSpec spec = session_for(library, cfg.workload, key);
+  const media::Video& video = library.at(spec.video_index);
+  sim::PlayerConfig player = cfg.player;
+  player.watch_duration_s = spec.watch_duration_s;
+  // One sampling decision per key, shared by every group: the control and
+  // treatment timelines of a sampled session land side by side in the
+  // trace, which is what makes the A/B comparison of a single environment
+  // readable.
+  const bool traced =
+      tracer != nullptr &&
+      tracer->sampled(key.seed, key.day, key.window, key.session);
+
   const std::size_t n_groups = groups.size();
   SessionScratch& s = scratch[slot];
   s.fresh_abrs.clear();
   if (s.lanes.size() < n_groups) s.lanes.resize(n_groups);
 
-  // Resolve each group's algorithm instance. The batch call routes each
-  // lane to the kernel or the scalar loop itself.
+  // Resolve each group's algorithm instance. The batch call picks each
+  // lane's decision itself.
   for (std::size_t g = 0; g < n_groups; ++g) {
     abr::RateAdaptation* algorithm;
     if (groups[g].reuse_instances) {
@@ -306,8 +226,7 @@ void SessionBlockRunner::Impl::run_batched_key(
   // on the kFaults substream, before any lane runs; every lane then
   // attributes its stalls against the same events. Everything else streams
   // the kTrace substream lazily -- generated once, as far as the furthest
-  // session reaches, and shared by every group's lane, kernel and scalar
-  // alike.
+  // session reaches, and shared by every group's lane.
   const bool faulted = population.has_faults();
   const bool materialize = env.has_outages || faulted ||
                            player.tcp.has_value() || !player.use_trace_cursor;
@@ -330,10 +249,13 @@ void SessionBlockRunner::Impl::run_batched_key(
       std::span<sim::BatchLane>(s.lanes.data(), n_groups), s.batch);
 
   if (tracer == nullptr) return;
-  // Sampled or post-hoc anomalous sessions are re-simulated with the tee
-  // attached (the same run-then-replay shape as the scalar path), with the
-  // registry muted so nothing is double-counted: the kernel run above
-  // already emitted this session's events.
+  // Unsampled sessions run at full speed with the plain sink; the anomaly
+  // trigger is evaluated post hoc on the finished metrics (the exact
+  // predicate the trace sink applies to its own event stream). A session
+  // is a pure function of its inputs, so the rare one that needs capturing
+  // is re-simulated with the tee attached, reproducing the identical
+  // timeline, with the registry muted so nothing is double-counted: the
+  // batch run above already emitted this session's events.
   const obs::TraceConfig& tc = tracer->config();
   bool have_trace = materialize;
   for (std::size_t g = 0, fresh = 0; g < n_groups; ++g) {

@@ -1,4 +1,5 @@
-// Chunk-major decision table for the batched session kernel.
+// Chunk-major decision table for batched sessions' table decision
+// (sim/batch_player.cpp).
 //
 // A BBA decision at chunk k reads the dynamic reservoir for k plus the
 // sizes of chunk k at every ladder rate. The scalar path gathers those from
@@ -40,7 +41,7 @@ struct DecisionTable {
 /// Per-scratch (per executor slot) cache of decision tables, keyed by
 /// (video, window_chunks). Building an entry performs exactly one real
 /// ChunkTable::window_sums call -- the genuine build-or-memo-hit event the
-/// obs registry counts -- which is what the batched kernel's memo-hit
+/// obs registry counts -- which is what the table decision's memo-hit
 /// accounting (sim/batch_player.cpp) is balanced against. Not thread-safe:
 /// each worker slot owns its own cache.
 class DecisionTableCache {

@@ -7,8 +7,8 @@
 // arithmetic as make_markov_trace_into followed by CapacityTrace::assign --
 // but only as far as consumers ask, which removes most of the generation
 // cost from the per-session budget. The A/B harness streams every
-// outage-free, unfaulted key: the batched kernel's lanes and the scalar
-// loop's (sim/session_loop.hpp, TraceStreamReader) read one stream per key.
+// outage-free, unfaulted key: every lane of the key reads one stream
+// through sim/session_loop.hpp's LaneCursorReader.
 //
 // Outage splicing (Population sessions with env.has_outages) is deliberately
 // NOT supported here: insert_outages draws from the same kTrace rng *after*
@@ -16,13 +16,13 @@
 // the outage draws without defeating its own laziness. Those sessions
 // materialize their trace exactly as before (as do faulted ones, whose
 // faults are injected into the whole trace) and run through FixedSource or
-// the scalar loop's CapacityTraceReader.
+// the session loop's CapacityTraceReader.
 //
-// LaneCursor is the streaming counterpart of net::TraceCursor, shared by
-// the batched kernel and the scalar loop: bit-identical finish times AND
-// identical query/rewind tallies over either source (enforced by
-// tests/test_sim_batch.cpp), with the walk running over raw prefix arrays
-// the reader caches for its whole lifetime.
+// LaneCursor is the streaming counterpart of net::TraceCursor, used by the
+// session loop over a stream or a materialized looping trace: bit-identical
+// finish times AND identical query/rewind tallies over either source
+// (enforced by tests/test_sim_batch.cpp), with the walk running over raw
+// prefix arrays the reader caches for its whole lifetime.
 #pragma once
 
 #include <algorithm>

@@ -224,7 +224,9 @@ struct LocalSlot {
 
 namespace detail {
 /// The buffer instrumentation sites write through; nullptr = disabled.
-extern thread_local LocalSlot* tl_metrics_slot;
+/// constinit here as on the definition: without it every site in every
+/// translation unit calls the TLS init wrapper, an opaque call.
+extern constinit thread_local LocalSlot* tl_metrics_slot;
 }  // namespace detail
 
 /// Counts into the bound buffer; a branch and nothing else when unbound.

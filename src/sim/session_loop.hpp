@@ -1,21 +1,23 @@
-// The scalar session loop, compiled against the concrete sink it feeds and
-// the trace reader it downloads through.
+// The one session loop, compiled against the decision rule it asks, the
+// concrete sink it feeds and the trace reader it downloads through.
 //
-// simulate_session (sim/player.hpp) takes its sink through the virtual
-// SessionSink base. Hot callers that know their sink's type -- the A/B
-// harness's untraced sessions and the batched kernel's scalar fallback,
-// both feeding a StreamingMetricsSink -- call simulate_session_into
-// instead: with a final sink class every per-chunk sink call is a direct
-// call the compiler can inline. There is one copy of the loop;
-// simulate_session is its instantiation on SessionSink, so every sink type
+// simulate_session (sim/player.hpp) takes its ABR through the virtual
+// RateAdaptation base and its sink through the virtual SessionSink base.
+// Hot callers that know the static types -- the A/B harness's untraced
+// sessions and batched sessions (sim/batch_player.cpp), both feeding a
+// StreamingMetricsSink -- call simulate_session_into instead: with final
+// classes every per-chunk decision and sink call is a direct call the
+// compiler can inline. There is one copy of the loop; simulate_session is
+// its instantiation on the two virtual bases, so every ABR and sink type
 // sees the identical event sequence, obs registry events and results.
 //
 // The loop reads capacity through one of two readers. CapacityTraceReader
 // reads a materialized CapacityTrace (TraceCursor, the TCP model, or the
-// trace's own binary search). TraceStreamReader reads a lazily generated
-// net::TraceStream through net::LaneCursor, the batched kernel's trace
-// layer: bit-identical finish times and cursor tallies on the same trace,
-// while only the prefix the session reaches is ever generated.
+// trace's own binary search). LaneCursorReader reads through
+// net::LaneCursor, either a lazily generated net::TraceStream -- only the
+// prefix the session reaches is ever generated -- or a materialized
+// looping trace: bit-identical finish times and cursor tallies on the same
+// trace.
 #pragma once
 
 #include <algorithm>
@@ -79,14 +81,18 @@ class CapacityTraceReader {
   const bool use_cursor_;
 };
 
-/// Downloads over a lazily generated TraceStream through net::LaneCursor.
-/// Several sessions may share one stream: each generates only as far as
-/// its own downloads reach. Faults are injected into a materialized trace,
-/// and the TCP model and the cursor-less path read one, so the config must
-/// use none of them.
-class TraceStreamReader {
+/// Downloads through net::LaneCursor over a net::TraceStream
+/// (StreamSource: lazily generated, several sessions may share one stream,
+/// each generating only as far as its own downloads reach) or over a
+/// materialized trace (FixedSource). Bit-identical finish times and cursor
+/// tallies to CapacityTraceReader on the same looping trace. Faults are
+/// injected into a materialized trace, and the TCP model and the
+/// cursor-less path read a CapacityTrace, so a stream takes none of them; a
+/// materialized trace may carry faults but must loop.
+template <class Src>
+class LaneCursorReader {
  public:
-  TraceStreamReader(net::TraceStream& stream, const PlayerConfig& config)
+  LaneCursorReader(net::TraceStream& stream, const PlayerConfig& config)
       : src_{&stream} {
     BBA_ASSERT(config.faults == nullptr && !config.tcp &&
                    config.use_trace_cursor,
@@ -94,33 +100,52 @@ class TraceStreamReader {
                "the trace cursor");
   }
 
+  LaneCursorReader(const net::CapacityTrace& trace,
+                   const PlayerConfig& config) {
+    BBA_ASSERT(trace.loops() && !config.tcp && config.use_trace_cursor,
+               "the lane cursor reads a looping trace without a TCP model");
+    src_.bind(trace);
+  }
+
   double finish_time_s(double start_s, double bits, double /*idle_s*/) {
     return cursor_.finish_time_s(src_, start_s, bits);
   }
 
-  /// Never called: the config carries no faults.
-  bool fault_overlaps(const std::vector<net::InjectedFault>&, double,
-                      double) const {
-    return false;
+  /// Did [t0, t1] overlap an injected fault window in any cycle?
+  bool fault_overlaps(const std::vector<net::InjectedFault>& faults,
+                      double t0, double t1) const {
+    return net::fault_overlaps(faults, src_.cycle_s(), /*loops=*/true, t0,
+                               t1);
   }
 
   std::uint64_t queries() const { return cursor_.queries; }
   std::uint64_t rewinds() const { return cursor_.rewinds; }
 
  private:
-  net::StreamSource src_;
+  Src src_;
   net::LaneCursor cursor_;
 };
 
 /// The one session loop: `Reader` (constructed from `trace` and the
-/// config) answers every download, `Sink` receives every event.
-template <class Reader, class Trace, class Sink>
-void session_loop(const media::Video& video, Trace& trace,
-                  abr::RateAdaptation& abr, const PlayerConfig& config,
-                  Sink& sink) {
-  BBA_ASSERT(config.buffer_capacity_s >= video.chunk_duration_s(),
+/// config) answers every download, `Abr` picks every rate (anything with
+/// RateAdaptation's reset() and choose_rate()), `Sink` receives every
+/// event.
+template <class Reader, class Trace, class Abr, class Sink>
+void session_loop(const media::Video& video, Trace& trace, Abr& abr,
+                  const PlayerConfig& config, Sink& sink) {
+  // The config's fields in locals: the compiler need not reload them after
+  // every store the sink or the obs registry makes.
+  const double cap = config.buffer_capacity_s;
+  const double play_threshold = config.play_threshold_s;
+  const double resume_threshold = config.resume_threshold_s;
+  const double max_wall = config.max_wall_s;
+  const double give_up = config.give_up_stall_s;
+  const double position_offset = config.position_offset_s;
+  const std::size_t start_chunk = config.start_chunk;
+  const std::vector<net::InjectedFault>* const faults = config.faults;
+  BBA_ASSERT(cap >= video.chunk_duration_s(),
              "buffer must hold at least one chunk");
-  BBA_ASSERT(config.play_threshold_s > 0.0 && config.resume_threshold_s > 0.0,
+  BBA_ASSERT(play_threshold > 0.0 && resume_threshold > 0.0,
              "playback thresholds must be > 0");
   abr.reset();
 
@@ -128,9 +153,8 @@ void session_loop(const media::Video& video, Trace& trace,
   const auto& ladder = video.ladder();
   const double V = chunks.chunk_duration_s();
   const std::size_t n = chunks.num_chunks();
-  BBA_ASSERT(config.start_chunk < n, "start chunk beyond the video");
-  const double remaining_s =
-      V * static_cast<double>(n - config.start_chunk);
+  BBA_ASSERT(start_chunk < n, "start chunk beyond the video");
+  const double remaining_s = V * static_cast<double>(n - start_chunk);
   const double watch_limit =
       std::min(config.watch_duration_s, remaining_s);
 
@@ -164,8 +188,7 @@ void session_loop(const media::Video& video, Trace& trace,
   // Only evaluated when faults are attached, so fault-free sessions pay
   // nothing.
   auto stall_during_fault = [&](double t0, double t1) {
-    return config.faults != nullptr &&
-           reader.fault_overlaps(*config.faults, t0, t1);
+    return faults != nullptr && reader.fault_overlaps(*faults, t0, t1);
   };
 
   auto close_stall = [&](double resume_t) {
@@ -178,9 +201,9 @@ void session_loop(const media::Video& video, Trace& trace,
     }
   };
 
-  for (std::size_t k = config.start_chunk; k < n; ++k) {
+  for (std::size_t k = start_chunk; k < n; ++k) {
     if (played >= watch_limit) break;
-    if (t > config.max_wall_s) {
+    if (t > max_wall) {
       sum.abandoned = true;
       break;
     }
@@ -188,8 +211,8 @@ void session_loop(const media::Video& video, Trace& trace,
     // ON-OFF: if the buffer cannot accept another chunk, idle until it can.
     // The buffer can only be full while playing.
     double off_wait = 0.0;
-    if (buffer + V > config.buffer_capacity_s) {
-      off_wait = buffer + V - config.buffer_capacity_s;
+    if (buffer + V > cap) {
+      off_wait = buffer + V - cap;
       const double need = watch_limit - played;
       if (need <= off_wait) {
         t += need;
@@ -205,7 +228,7 @@ void session_loop(const media::Video& video, Trace& trace,
     abr::Observation obs;
     obs.chunk_index = k;
     obs.buffer_s = buffer;
-    obs.buffer_max_s = config.buffer_capacity_s;
+    obs.buffer_max_s = cap;
     obs.now_s = t;
     obs.prev_rate_index = prev_rate;
     obs.last_throughput_bps = last_tp;
@@ -253,18 +276,17 @@ void session_loop(const media::Video& video, Trace& trace,
         played += buffer;
         buffer = 0.0;
         playing = false;
-        if (stall_start + config.give_up_stall_s < finish) {
+        if (stall_start + give_up < finish) {
           // The stall will outlast the viewer's patience: they walk out
           // mid-stall (engagement studies tie long rebuffers to abandons).
           obs::count(obs::Counter::kRebuffers);
-          obs::observe(obs::Hist::kStallSeconds, config.give_up_stall_s);
+          obs::observe(obs::Hist::kStallSeconds, give_up);
           sink.on_rebuffer(
-              {stall_start, config.give_up_stall_s, k,
-               stall_during_fault(stall_start,
-                                  stall_start + config.give_up_stall_s)});
+              {stall_start, give_up, k,
+               stall_during_fault(stall_start, stall_start + give_up)});
           sum.abandoned = true;
           sum.played_s = played;
-          sum.wall_s = stall_start + config.give_up_stall_s;
+          sum.wall_s = stall_start + give_up;
           obs::count(obs::Counter::kSessions);
           obs::count(obs::Counter::kSessionsAbandoned);
           obs::count(obs::Counter::kChunksDownloaded, obs_chunks);
@@ -287,7 +309,7 @@ void session_loop(const media::Video& video, Trace& trace,
 
     if (!playing) {
       const double threshold =
-          sum.started ? config.resume_threshold_s : config.play_threshold_s;
+          sum.started ? resume_threshold : play_threshold;
       // The last chunk always releases playback: there is nothing more to
       // wait for.
       if (buffer >= threshold || k + 1 == n) {
@@ -309,10 +331,9 @@ void session_loop(const media::Video& video, Trace& trace,
       ++obs_offs;
       obs::observe(obs::Hist::kOffWaitSeconds, off_wait);
     }
-    if (k > config.start_chunk && r != prev_rate) ++obs_switches;
+    if (k > start_chunk && r != prev_rate) ++obs_switches;
     const double position_s =
-        config.position_offset_s +
-        V * static_cast<double>(k - config.start_chunk);
+        position_offset + V * static_cast<double>(k - start_chunk);
     sink.on_chunk({k, r, ladder.rate_bps(r), size, req_t, finish, dl,
                    last_tp, buffer, off_wait, position_s},
                   played);
@@ -348,12 +369,13 @@ void session_loop(const media::Video& video, Trace& trace,
 
 }  // namespace detail
 
-/// simulate_session with the sink's static type kept: `Sink` is
-/// SessionSink or one of its subclasses.
-template <class Sink>
+/// simulate_session with the static types of the decision rule and the
+/// sink kept: `Abr` is RateAdaptation, one of its subclasses or any class
+/// with the same reset()/choose_rate(); `Sink` is SessionSink or one of
+/// its subclasses.
+template <class Abr, class Sink>
 void simulate_session_into(const media::Video& video,
-                           const net::CapacityTrace& trace,
-                           abr::RateAdaptation& abr,
+                           const net::CapacityTrace& trace, Abr& abr,
                            const PlayerConfig& config, Sink& sink) {
   detail::session_loop<detail::CapacityTraceReader>(video, trace, abr, config,
                                                     sink);
@@ -362,13 +384,12 @@ void simulate_session_into(const media::Video& video,
 /// The same session over a lazily generated trace: bit-identical results
 /// and registry events to running it over the materialized trace the
 /// stream would produce (a looping Markov trace without outages).
-template <class Sink>
+template <class Abr, class Sink>
 void simulate_session_into(const media::Video& video,
-                           net::TraceStream& stream,
-                           abr::RateAdaptation& abr,
+                           net::TraceStream& stream, Abr& abr,
                            const PlayerConfig& config, Sink& sink) {
-  detail::session_loop<detail::TraceStreamReader>(video, stream, abr, config,
-                                                  sink);
+  detail::session_loop<detail::LaneCursorReader<net::StreamSource>>(
+      video, stream, abr, config, sink);
 }
 
 }  // namespace bba::sim

@@ -67,7 +67,7 @@ void StreamingMetricsSink::grow_ring() {
   std::vector<PendingChunk> grown;
   grown.resize(std::max<std::size_t>(64, ring_.size() * 2));
   for (std::size_t i = 0; i < count_; ++i) {
-    grown[i] = ring_[(head_ + i) % ring_.size()];
+    grown[i] = ring_[(head_ + i) & mask()];
   }
   ring_.swap(grown);
   head_ = 0;
@@ -97,7 +97,7 @@ void StreamingMetricsSink::on_session_end(const SessionSummary& summary) {
   // compute_metrics expressions.
   const double V = summary.chunk_duration_s;
   for (std::size_t i = 0; i < count_; ++i) {
-    const PendingChunk& c = ring_[(head_ + i) % ring_.size()];
+    const PendingChunk& c = ring_[(head_ + i) & mask()];
     const double lo = c.position_s;
     const double played_portion =
         std::clamp(summary.played_s - lo, 0.0, V);

@@ -144,7 +144,9 @@ class StreamingMetricsSink final : public SessionSink {
   double steady_after_s_;
   double chunk_duration_s_ = 0.0;
 
-  // Pending ring: FIFO over ring_[ (head_ + i) % ring_.size() ).
+  // Pending ring: FIFO over ring_[(head_ + i) & mask()]. Its size is
+  // always 64 * 2^k (grow_ring), so the wrap is a mask, not a division.
+  std::size_t mask() const { return ring_.size() - 1; }
   std::vector<PendingChunk> ring_;
   std::size_t head_ = 0;
   std::size_t count_ = 0;
@@ -182,7 +184,7 @@ inline void StreamingMetricsSink::fold(double position_s, double rate_bps,
 
 inline void StreamingMetricsSink::push_pending(const PendingChunk& c) {
   if (count_ == ring_.size()) grow_ring();
-  ring_[(head_ + count_) % ring_.size()] = c;
+  ring_[(head_ + count_) & mask()] = c;
   ++count_;
 }
 
@@ -217,7 +219,7 @@ inline void StreamingMetricsSink::on_chunk(const ChunkRecord& chunk,
     const double start_overlap =
         std::clamp(steady_after_s_ - front.position_s, 0.0, V);
     fold(front.position_s, front.rate_bps, V, start_overlap);
-    head_ = (head_ + 1) % ring_.size();
+    head_ = (head_ + 1) & mask();
     --count_;
   }
 }

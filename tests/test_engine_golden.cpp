@@ -1,13 +1,13 @@
 // Golden pin of the session engine across every ABR and every dispatch.
 //
 // Every (key, group) SessionMetrics of a ten-group A/B grid is hashed
-// bit for bit with FNV-1a, with and without injected faults, through the
-// batched kernel and the scalar player (batch on/off), at 1 and 4
-// threads. One constant per fault setting covers all four dispatches: the
-// paths must agree with each other and with the recorded values. A second
-// constant pins run_ab_test's aggregated window cells over the same grid.
-// The constants were recorded before faulted sessions could run through
-// the batched kernel, so they also pin that change as byte-neutral.
+// bit for bit with FNV-1a, with and without injected faults, at 1 and 4
+// threads. One constant per fault setting covers both thread counts. A
+// second constant pins run_ab_test's aggregated window cells over the same
+// grid. The constants were recorded before faulted sessions could run
+// through the batched kernel, and held for every lane on its own ABR as
+// well as for BBA-1/BBA-2 on the table decision, so they also pin the
+// table decision as byte-neutral.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -97,13 +97,12 @@ std::vector<exp::Group> all_groups() {
   return g;
 }
 
-exp::AbTestConfig grid_config(bool faulted, bool batch, std::size_t threads) {
+exp::AbTestConfig grid_config(bool faulted, std::size_t threads) {
   exp::AbTestConfig cfg;
   cfg.sessions_per_window = 8;
   cfg.days = 2;
   cfg.seed = 2014;
   cfg.threads = threads;
-  cfg.batch_sessions = batch;
   if (faulted) {
     std::string err;
     const bool ok =
@@ -161,25 +160,23 @@ Pins run_grid(const exp::AbTestConfig& cfg, long long* fault_stalls,
 }
 
 void expect_pinned(bool faulted, Pins want) {
-  for (const bool batch : {true, false}) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      long long fault_stalls = 0;
-      long long rebuffers = 0;
-      const Pins got = run_grid(grid_config(faulted, batch, threads),
-                                &fault_stalls, &rebuffers);
-      EXPECT_GT(rebuffers, 0);
-      if (faulted) {
-        EXPECT_GT(fault_stalls, 0);
-      } else {
-        EXPECT_EQ(fault_stalls, 0);
-      }
-      EXPECT_EQ(got.sessions, want.sessions)
-          << std::hex << "sessions 0x" << got.sessions << std::dec
-          << " batch=" << batch << " threads=" << threads;
-      EXPECT_EQ(got.cells, want.cells)
-          << std::hex << "cells 0x" << got.cells << std::dec
-          << " batch=" << batch << " threads=" << threads;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    long long fault_stalls = 0;
+    long long rebuffers = 0;
+    const Pins got =
+        run_grid(grid_config(faulted, threads), &fault_stalls, &rebuffers);
+    EXPECT_GT(rebuffers, 0);
+    if (faulted) {
+      EXPECT_GT(fault_stalls, 0);
+    } else {
+      EXPECT_EQ(fault_stalls, 0);
     }
+    EXPECT_EQ(got.sessions, want.sessions)
+        << std::hex << "sessions 0x" << got.sessions << std::dec
+        << " threads=" << threads;
+    EXPECT_EQ(got.cells, want.cells)
+        << std::hex << "cells 0x" << got.cells << std::dec
+        << " threads=" << threads;
   }
 }
 

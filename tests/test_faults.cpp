@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -573,7 +574,7 @@ TEST(AbTestFaults, ResultsBitIdenticalAcrossThreadCounts) {
 
 exp::AbTestResult run_traced_faulted(std::size_t threads,
                                      const std::string& path,
-                                     bool with_faults, bool batch = true) {
+                                     bool with_faults) {
   obs::Observability handle;
   obs::TraceConfig tc;
   tc.path = path;
@@ -583,31 +584,52 @@ exp::AbTestResult run_traced_faulted(std::size_t threads,
   obs::install(&handle);
   const media::VideoLibrary library = media::VideoLibrary::standard(3);
   exp::AbTestConfig cfg = faulted_config(threads);
-  cfg.batch_sessions = batch;
   if (!with_faults) cfg.population.faults.specs.clear();
   exp::AbTestResult result = exp::run_ab_test(tiny_groups(), library, cfg);
   obs::install(nullptr);
   return result;
 }
 
+// FNV-1a over `n` bytes, continuing from `h`.
+std::uint64_t fnv1a(const void* data, std::size_t n,
+                    std::uint64_t h = 0xcbf29ce484222325ULL) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// FNV-1a over the bytes of every window cell, in (group, day, window)
+// order.
+std::uint64_t cells_fnv1a(const exp::AbTestResult& r) {
+  std::uint64_t h = fnv1a(nullptr, 0);
+  for (const auto& group : r.cells) {
+    for (const auto& day : group) {
+      for (const exp::WindowMetrics& w : day) h = fnv1a(&w, sizeof(w), h);
+    }
+  }
+  return h;
+}
+
 TEST(AbTestFaults, TraceFilesCarryFaultEventsAndStayThreadInvariant) {
-  // Faulted BBA-2 sessions run through the batched kernel and their
-  // traced replays on the scalar player; --no-batch runs both on the
-  // scalar player. The trace bytes must not tell the two apart.
+  // Faulted BBA-2 sessions decide through the batch's table and their
+  // traced replays through Bba2 itself. The results and the trace bytes
+  // are pinned to values recorded when every lane could also run on its
+  // own ABR; both paths gave them.
   const std::string p1 = temp_path("t1");
   const std::string p4 = temp_path("t4");
-  const std::string p_scalar = temp_path("scalar");
   const exp::AbTestResult r1 = run_traced_faulted(1, p1, true);
   const exp::AbTestResult r4 = run_traced_faulted(4, p4, true);
-  const exp::AbTestResult r_scalar =
-      run_traced_faulted(1, p_scalar, true, /*batch=*/false);
   EXPECT_TRUE(results_bitwise_equal(r1, r4));
-  EXPECT_TRUE(results_bitwise_equal(r1, r_scalar));
+  EXPECT_EQ(cells_fnv1a(r1), 0x78f288d2b6593354ULL);
 
   const std::string bytes = read_file(p1);
   ASSERT_FALSE(bytes.empty());
   EXPECT_EQ(bytes, read_file(p4));
-  EXPECT_EQ(bytes, read_file(p_scalar));
+  EXPECT_EQ(bytes.size(), 8593454u);
+  EXPECT_EQ(fnv1a(bytes.data(), bytes.size()), 0x6c09fbf1b64ad8a2ULL);
   EXPECT_NE(bytes.find("\"fault\":true"), std::string::npos);
 
   // Headers declare the fault count; each injected fault has an event
